@@ -8,7 +8,9 @@ parts.  A fractional part f_1 = 0 terminates the expansion (this is the
 multidimensional shape of a rational input).  Each step has a companion
 unimodular matrix; the running product of those matrices reconstructs the
 input vector from any later state, exactly, which is the contract most of
-the tests in this package lean on.
+the tests in this package lean on.  Rational input runs in integers, on
+the vector scaled to a common denominator, and gives the same digits and
+states as the scalar step.
 """
 
 import math
@@ -239,6 +241,54 @@ def _terminal_residual(state, digits):
     return tuple(fracs + [rational(1)])
 
 
+def _all_rational(state):
+    return all(isinstance(e, RationalScalar) for e in state.entries)
+
+
+def _rational_expand(state, max_depth, keep_states=True):
+    """``jpa_expand`` of a normalized all-rational state, in integers.
+
+    Scaled once to the common denominator, the state is an integer vector
+    v; a step divides every coordinate by the head v_0, emits the
+    quotients and continues from the remainders with v_0 rotated to the
+    back.  A zero first remainder terminates.  Digits, states and residual
+    equal those of the ``jpa_step`` loop.
+    """
+    # as in the scalar loop, a negative entry is an error only once a
+    # step is taken (detect_period passes unchecked input)
+    if max_depth > 0:
+        for x in state.entries:
+            if x.value < 0:
+                raise NonPositiveState("state entry %r is negative" % (x,))
+    values = [x.value for x in state.entries]
+    scale = math.lcm(*(x.denominator for x in values))
+    vec = [x.numerator * (scale // x.denominator) for x in values]
+    one = rational(1)
+    states = [state]
+    blocks = []
+    tail = Tail.truncated()
+    residual = None
+    for _ in range(max_depth):
+        head = vec[0]
+        digits, rest = zip(*[divmod(v, head) for v in vec[1:]])
+        blocks.append(digits)
+        if rest[0] == 0:
+            tail = Tail.terminated()
+            residual = tuple(rational(r, head) for r in rest) + (one,)
+            break
+        vec = [*rest, head]
+        if keep_states:
+            states.append(ScalarVector([one] + [Fraction(v, rest[0]) for v in vec[1:]]))
+    return Expansion(
+        rank=state.rank,
+        blocks=tuple(blocks),
+        tail=tail,
+        theta=state,
+        states=tuple(states) if keep_states else None,
+        residual=residual,
+    )
+
+
 def jpa_expand(theta, max_depth, keep_states=True):
     """Expand a positive vector for up to ``max_depth`` digit blocks."""
     vec = ScalarVector.coerce(theta)
@@ -248,6 +298,8 @@ def jpa_expand(theta, max_depth, keep_states=True):
     if not pos:
         raise NonPositiveState("input vector must be strictly positive")
     state = vec.normalized()
+    if _all_rational(state):
+        return _rational_expand(state, max_depth, keep_states)
     source = state
     states = [state]
     blocks = []
@@ -351,13 +403,28 @@ def euclid_gcd(values):
     return vals[0]
 
 
+def _times_step(m, block):
+    """``m`` times ``step_matrix(block)`` in O(n^2): every row shifts left
+    by one and ends in row[0] + sum(b_i * row[i])."""
+    terms = [(i, b) for i, b in enumerate(block, 1) if b]
+    out = []
+    for row in m:
+        last = row[0]
+        for i, b in terms:
+            last += b * row[i]
+        rest = row[1:]
+        rest.append(last)
+        out.append(rest)
+    return out
+
+
 def prefix_product(exp, k):
     """Product of the first ``k`` step matrices."""
     if k < 0 or (k > exp.available_depth()):
         raise DepthExceeded("depth %d beyond available expansion" % k)
     out = intmat.identity(exp.rank)
     for i in range(k):
-        out = intmat.mat_mul(out, step_matrix(exp.block_at(i)))
+        out = _times_step(out, exp.block_at(i))
     return out
 
 
@@ -423,10 +490,7 @@ class PeriodVerdict:
         return self.kind == PERIODIC
 
 
-def _find_recurrence(states, candidate, exact_hash):
-    if exact_hash is not None:
-        key = tuple(e.value for e in candidate.entries)
-        return exact_hash.get(key)
+def _find_recurrence(states, candidate):
     for j, st in enumerate(states):
         if all(
             compare(a, b) is Ordering.EQ for a, b in zip(st.entries, candidate.entries)
@@ -444,7 +508,7 @@ def _reduce_state_period(blocks, states, j, p):
             continue
         m = intmat.identity(len(window[0]) + 1)
         for b in window[:q]:
-            m = intmat.mat_mul(m, step_matrix(b))
+            m = _times_step(m, b)
         if projectively_equal(scalar_mat_vec(m, states[j].entries), states[j].entries):
             return q
     return p
@@ -463,12 +527,16 @@ def detect_period(subject, max_preperiod=16, max_period=16):
         return _detect_period_expansion(subject, max_preperiod, max_period)
     vec = ScalarVector.coerce(subject)
     depth_budget = max_preperiod + max_period
-    exact_entries = all(e.is_exact() for e in vec.entries)
     state = vec.normalized()
+    if _all_rational(state):
+        # a rational state never recurs: the integer heads strictly
+        # decrease and the unimodular steps keep the gcd of the vector
+        exp = _rational_expand(state, depth_budget)
+        if exp.tail.kind == TERMINATED:
+            return _terminated_verdict(exp, True)
+        return _aperiodic_verdict(depth_budget)
+    exact_entries = all(e.is_exact() for e in vec.entries)
     states = [state]
-    exact_hash = None
-    if all(isinstance(e, RationalScalar) for e in state.entries):
-        exact_hash = {tuple(e.value for e in state.entries): 0}
     blocks = []
     for k in range(depth_budget):
         try:
@@ -491,15 +559,9 @@ def detect_period(subject, max_preperiod=16, max_period=16):
                 states=tuple(states),
                 residual=residual,
             )
-            return PeriodVerdict(
-                kind=TERMINATED,
-                depth=k + 1,
-                certified=exact_entries,
-                note="expansion terminated (rationally dependent input)",
-                expansion=exp,
-            )
+            return _terminated_verdict(exp, exact_entries)
         if exact_entries:
-            j = _find_recurrence(states, nxt, exact_hash)
+            j = _find_recurrence(states, nxt)
             if j is not None:
                 p = _reduce_state_period(blocks, states, j, k + 1 - j)
                 period = tuple(blocks[j:j + p])
@@ -523,11 +585,23 @@ def detect_period(subject, max_preperiod=16, max_period=16):
                 )
         state = nxt
         states.append(state)
-        if exact_hash is not None:
-            exact_hash[tuple(e.value for e in state.entries)] = len(states) - 1
+    return _aperiodic_verdict(depth_budget)
+
+
+def _terminated_verdict(exp, certified):
+    return PeriodVerdict(
+        kind=TERMINATED,
+        depth=exp.depth,
+        certified=certified,
+        note="expansion terminated (rationally dependent input)",
+        expansion=exp,
+    )
+
+
+def _aperiodic_verdict(depth):
     return PeriodVerdict(
         kind="aperiodic_up_to",
-        depth=depth_budget,
+        depth=depth,
         certified=False,
         note="no exact recurrence within the searched depth",
     )
@@ -620,7 +694,7 @@ def convergence_diagnostic(exp, threshold=1e-8, depth=None):
     patterns = []
     p = intmat.identity(exp.rank)
     for i in range(depth):
-        p = intmat.mat_mul(p, step_matrix(exp.block_at(i)))
+        p = _times_step(p, exp.block_at(i))
         diameters.append(_hilbert_diameter(p))
         patterns.append(tuple(tuple(x != 0 for x in row) for row in p))
     verdict = ConvergenceReport.INCONCLUSIVE

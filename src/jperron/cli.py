@@ -8,6 +8,7 @@ malformed input, 2 indeterminate arithmetic, 3 no common tail.
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -73,12 +74,31 @@ def _read_input(args):
     raise MalformedInput("no input given: use --theta or --input")
 
 
+def _check_exponent(text):
+    # Fraction("1e999999999") builds the whole power of ten before any
+    # other check runs; bound the exponent as int() bounds its digits
+    _, marker, exponent = text.lower().partition("e")
+    if not marker:
+        return
+    try:
+        exponent = int(exponent)
+    except ValueError:
+        return  # not a number at all: Fraction rejects it
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if abs(exponent) > limit:
+        raise MalformedInput(
+            "decimal exponent %d exceeds the limit of %d" % (exponent, limit)
+        )
+
+
 def _coerce_entry(entry, mode):
     if isinstance(entry, bool):
         raise MalformedInput("booleans are not scalars")
     if isinstance(entry, (int, float, str)):
         try:
-            value = Fraction(str(entry))
+            text = str(entry)
+            _check_exponent(text)
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInput("cannot read %r as a number" % (entry,)) from exc
         pair = [value.numerator, value.denominator]
@@ -145,8 +165,9 @@ def cmd_expand(args):
             (item, args.mode, args.depth, args.budget_preperiod, args.budget_period)
             for item in obj
         ]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_expand_job, jobs))
         else:
             results = [_expand_job(j) for j in jobs]

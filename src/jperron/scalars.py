@@ -208,7 +208,8 @@ class RationalScalar(Scalar):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self.value = Fraction(value)
+        # a Fraction is immutable, so an exact one is kept rather than copied
+        self.value = value if type(value) is Fraction else Fraction(value)
 
     def sign(self):
         v = self.value

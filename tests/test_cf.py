@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_positive_fraction, rng_for, tribonacci_vector
+from jperron import cf as cf_module
 from jperron import intmat
 from jperron.cf import (
     Expansion,
@@ -31,7 +32,13 @@ from jperron.errors import (
     NonPositiveEntry,
     NonPositiveState,
 )
-from jperron.scalars import ScalarVector, algebraic, interval, rational
+from jperron.scalars import (
+    RationalScalar,
+    ScalarVector,
+    algebraic,
+    interval,
+    rational,
+)
 
 
 def golden():
@@ -465,3 +472,209 @@ def test_expansion_json_rejects_bad_tail():
         expansion_from_json({"rank": 2, "blocks": [[1]], "tail": {"kind": "wat"}})
     with pytest.raises(MalformedInput):
         expansion_from_json([1, 2, 3])
+
+
+# ---------------------------------------------------------------- integer kernel
+
+
+def _scalar_loop(theta, max_depth):
+    """The jpa_step loop that rational expansion reproduces in integers."""
+    state = ScalarVector.coerce(theta).normalized()
+    states, blocks, residual = [state], [], None
+    for _ in range(max_depth):
+        digits, nxt = jpa_step(state)
+        blocks.append(digits)
+        if nxt is None:
+            fracs = [x - b for x, b in zip(state.entries[1:], digits)]
+            residual = tuple(fracs) + (rational(1),)
+            break
+        state = nxt
+        states.append(state)
+    return blocks, states, residual
+
+
+def _values(entries):
+    assert all(isinstance(x, RationalScalar) for x in entries)
+    return [x.value for x in entries]
+
+
+def _assert_kernel_matches(theta, max_depth, keep_states=True):
+    e = jpa_expand(theta, max_depth, keep_states)
+    blocks, states, residual = _scalar_loop(theta, max_depth)
+    assert list(e.blocks) == blocks
+    assert e.tail.kind == ("truncated" if residual is None else "terminated")
+    assert _values(e.theta) == _values(states[0])
+    if keep_states:
+        assert [_values(s) for s in e.states] == [_values(s) for s in states]
+    else:
+        assert e.states is None
+    if residual is None:
+        assert e.residual is None
+    else:
+        assert _values(e.residual) == _values(residual)
+    return e
+
+
+def _random_rational_vector(rng, rank, bits):
+    return [
+        Fraction(rng.randint(1, 1 << bits), rng.randint(1, 1 << bits))
+        for _ in range(rank)
+    ]
+
+
+def test_kernel_matches_scalar_loop_random():
+    rng = rng_for("integer-kernel")
+    for rank in range(2, 7):
+        for bits in (1, 3, 16, 64, 256):
+            for _ in range(3):
+                theta = _random_rational_vector(rng, rank, bits)
+                e = _assert_kernel_matches(theta, 1 << 12)
+                assert e.tail.kind == "terminated"
+
+
+def test_kernel_matches_scalar_loop_truncated_depths():
+    rng = rng_for("integer-kernel-depths")
+    for rank in range(2, 7):
+        theta = _random_rational_vector(rng, rank, 40)
+        full = jpa_expand(theta, 1 << 12).depth
+        for depth in (0, 1, full // 2, full - 1, full, full + 1):
+            _assert_kernel_matches(theta, depth)
+            _assert_kernel_matches(theta, depth, keep_states=False)
+
+
+def test_kernel_matches_scalar_loop_zero_interior_coordinates():
+    # small common denominators make fractional parts vanish mid-vector
+    rng = rng_for("integer-kernel-zeros")
+    zero_states = 0
+    for _ in range(120):
+        rank = rng.randint(3, 6)
+        den = rng.randint(2, 6)
+        theta = [Fraction(1)] + [
+            Fraction(rng.randint(1, 3 * den), rng.choice((1, den)))
+            for _ in range(rank - 1)
+        ]
+        e = _assert_kernel_matches(theta, 64)
+        zero_states += sum(
+            any(x.value == 0 for x in s.entries[1:]) for s in e.states
+        )
+    assert zero_states > 0
+
+
+def test_kernel_rank2_matches_regular_cf():
+    rng = rng_for("integer-kernel-rank2")
+    for bits in (1, 8, 64, 256):
+        for _ in range(5):
+            x = Fraction(rng.randint(1, 1 << bits), rng.randint(1, 1 << bits))
+            a = regular_cf(x, 1 << 12)
+            b = jpa_expand([1, x], 1 << 12)
+            assert a.blocks == b.blocks
+            assert a.tail == b.tail
+            assert [_values(s) for s in a.states] == [_values(s) for s in b.states]
+            assert _values(a.residual) == _values(b.residual)
+
+
+def test_rational_paths_never_call_the_scalar_step(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scalar path taken on rational input")
+
+    monkeypatch.setattr(cf_module, "jpa_step", refuse)
+    monkeypatch.setattr(intmat, "mat_mul", refuse)
+    e = jpa_expand([1, Fraction(7, 5), Fraction(11, 5)], 32)
+    assert e.blocks == ((1, 2), (0, 2), (1, 2))
+    assert prefix_product(e, e.depth) == [[1, 2, 5], [1, 3, 7], [2, 4, 11]]
+    assert convergence_diagnostic(e).depth == 3
+    verdict = detect_period(ScalarVector([1, Fraction(7, 5), Fraction(11, 5)]), 8, 8)
+    assert verdict.kind == "terminated" and verdict.expansion.blocks == e.blocks
+    verdict = detect_period(ScalarVector([1, Fraction(10946, 6765)]), 2, 2)
+    assert verdict.kind == "aperiodic_up_to"
+
+
+# verdicts of the scalar-step implementation, which also searched for a
+# state recurrence; a rational state never recurs, so nothing else changes
+_PINNED_VERDICTS = [
+    ((1, Fraction(1, 2), 0, Fraction(3, 4)), 4, 4, "terminated", 2),
+    ((1, Fraction(3, 7), 1, 2, Fraction(5, 7)), 4, 4, "terminated", 2),
+    ((3, 5, 7, 11), 4, 4, "terminated", 3),
+    ((1, Fraction(10946, 6765)), 8, 8, "aperiodic_up_to", 16),
+    ((2, Fraction(-1, 2)), 0, 0, "aperiodic_up_to", 0),
+    (
+        (1, Fraction(2**64 + 1, 3**40), Fraction(5**30, 7**20)),
+        3,
+        5,
+        "aperiodic_up_to",
+        8,
+    ),
+]
+
+
+@pytest.mark.parametrize("theta,pre,per,kind,depth", _PINNED_VERDICTS)
+def test_detect_period_rational_verdicts_unchanged(theta, pre, per, kind, depth):
+    verdict = detect_period(ScalarVector(list(theta)), pre, per)
+    assert (verdict.kind, verdict.depth) == (kind, depth)
+    assert verdict.certified == (kind == "terminated")
+    assert verdict.preperiod is None and verdict.period is None
+    if kind == "terminated":
+        assert verdict.note == "expansion terminated (rationally dependent input)"
+        blocks, states, residual = _scalar_loop(theta, pre + per)
+        exp = verdict.expansion
+        assert list(exp.blocks) == blocks and exp.tail.kind == "terminated"
+        assert [_values(s) for s in exp.states] == [_values(s) for s in states]
+        assert _values(exp.residual) == _values(residual)
+        assert _values(exp.theta) == _values(states[0])
+    else:
+        assert verdict.note == "no exact recurrence within the searched depth"
+        assert verdict.expansion is None
+
+
+def test_detect_period_rational_matches_scalar_loop_random():
+    rng = rng_for("integer-kernel-verdicts")
+    for _ in range(40):
+        theta = _random_rational_vector(rng, rng.randint(2, 6), rng.choice((4, 32)))
+        pre, per = rng.randint(0, 6), rng.randint(0, 6)
+        verdict = detect_period(ScalarVector(theta), pre, per)
+        blocks, _, residual = _scalar_loop(theta, pre + per)
+        if residual is None:
+            assert (verdict.kind, verdict.depth) == ("aperiodic_up_to", pre + per)
+        else:
+            assert (verdict.kind, verdict.depth) == ("terminated", len(blocks))
+            assert list(verdict.expansion.blocks) == blocks
+
+
+def test_detect_period_rejects_negative_rational_entries():
+    with pytest.raises(NonPositiveState):
+        detect_period(ScalarVector([1, Fraction(-1, 2)]), 1, 1)
+
+
+# ---------------------------------------------------------------- step products
+
+
+def _naive_prefix(rank, blocks):
+    m = intmat.identity(rank)
+    for b in blocks:
+        m = intmat.mat_mul(m, step_matrix(b))
+    return m
+
+
+def test_prefix_product_matches_matrix_fold():
+    rng = rng_for("step-product")
+    for rank in range(2, 7):
+        blocks = [
+            tuple(rng.choice((0, 0, 1, 2, 7, 1000)) for _ in range(rank - 1))
+            for _ in range(25)
+        ]
+        exp = Expansion(rank=rank, blocks=tuple(blocks), tail=Tail.truncated())
+        for k in range(len(blocks) + 1):
+            assert prefix_product(exp, k) == _naive_prefix(rank, blocks[:k])
+
+
+def test_diagnostic_unchanged_on_periodic_fixture(tribonacci):
+    exp = detect_period(tribonacci, 8, 8).expansion
+    for depth, verdict in ((None, "inconclusive"), (30, "contracting")):
+        report = convergence_diagnostic(exp, depth=depth)
+        assert report.verdict == verdict
+        expected = tuple(
+            cf_module._hilbert_diameter(_naive_prefix(3, exp.realize(k)))
+            for k in range(1, report.depth + 1)
+        )
+        assert report.diameters == expected
+    assert convergence_diagnostic(exp).depth == 3

@@ -2,11 +2,17 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import tribonacci_vector
+from jperron import cli
 from jperron.cf import Expansion, Tail, expansion_to_json
+from jperron.errors import MalformedInput
 from jperron.scalars import vector_to_json
 
 RATIONAL_THETA = '[["rat",[1,1]],["rat",[7,5]],["rat",[11,5]]]'
+# the bound on decimal exponents is the one int() puts on decimal digits
+EXPONENT_LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
 def run_cli(*args, stdin=None):
@@ -216,3 +222,72 @@ def test_text_formats(tmp_path):
     rep = run_cli("represent", "--input", str(path), "--format", "text")
     assert rep.returncode == 0
     assert "certification" in rep.stdout and "e:" in rep.stdout
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "items,jobs,cpus,workers",
+    [
+        (6, 2, 2, [2]),
+        (6, 64, 2, [2]),
+        (2, 64, 8, [2]),
+        (6, 3, 8, [3]),
+        (6, 64, None, []),
+        (1, 4, 8, []),
+        (6, 1, 8, []),
+    ],
+)
+def test_expand_jobs_capped(monkeypatch, capsys, items, jobs, cpus, workers):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    batch = json.dumps([[1, "%d/5" % (k + 6)] for k in range(items)])
+    code = cli.main(["expand", "--theta", batch, "--depth", "8", "--jobs", str(jobs)])
+    assert code == 0
+    assert _RecordingPool.created == workers
+    assert len(json.loads(capsys.readouterr().out)) == items
+
+
+def test_expand_rejects_huge_decimal_exponent():
+    theta = json.dumps([1, "1e%d" % (EXPONENT_LIMIT + 1)])
+    proc = run_cli("expand", "--theta", theta, "--depth", "3")
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr)
+    assert err["error"] == "parse" and "exponent" in err["message"]
+
+
+def test_decimal_exponent_checked_before_any_fraction(monkeypatch):
+    # the bound applies to the text, so no power of ten is ever built
+    def refuse(*args):
+        raise AssertionError("Fraction built for an out-of-range exponent")
+
+    monkeypatch.setattr(cli, "Fraction", refuse)
+    over = EXPONENT_LIMIT + 1
+    for text in ("1e%d" % over, "2.5E-%d" % over, "1e999999999"):
+        with pytest.raises(MalformedInput):
+            cli._coerce_entry(text, "rational")
+
+
+def test_decimal_exponent_at_the_limit_is_read():
+    text = "1e-%d" % EXPONENT_LIMIT
+    assert cli._coerce_entry(text, "rational") == {"rat": [1, 10**EXPONENT_LIMIT]}
+    assert cli._coerce_entry("2.5e3", "interval") == {
+        "ivl": {"lo": [2500, 1], "hi": [2500, 1]}
+    }
