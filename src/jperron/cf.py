@@ -229,10 +229,11 @@ def jpa_step(state):
         raise IndeterminateFloor("cannot decide termination of %r" % (state,))
     if s0 == 0:
         return digits, None
-    head = fracs[0]
+    # one field inverse per step: f / head is f times 1 / head, exactly
+    inv = rational(1) / fracs[0]
     nxt = [rational(1)]
-    nxt.extend(f / head for f in fracs[1:])
-    nxt.append(rational(1) / head)
+    nxt.extend(f * inv for f in fracs[1:])
+    nxt.append(inv)
     return digits, ScalarVector(nxt)
 
 

@@ -46,7 +46,12 @@ EXIT_NO_COMMON_TAIL = 3
 
 def _emit(obj, stream=None):
     stream = stream or sys.stdout
-    stream.write(json.dumps(obj, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(obj, sort_keys=True)
+    except ValueError as exc:
+        # an integer beyond Python's int/str digit limit; nothing is written
+        raise JperronError("cannot print the result: %s" % exc) from exc
+    stream.write(text + "\n")
 
 
 def _error(kind, message, position=None):
@@ -61,6 +66,9 @@ def _load_json(text):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(str(exc), position=exc.pos) from exc
+    except ValueError as exc:
+        # e.g. an integer literal beyond Python's int/str digit limit
+        raise MalformedInput(str(exc)) from exc
 
 
 def _read_input(args):

@@ -155,14 +155,34 @@ def evaluate(p, x):
 
 
 def evaluate_interval(p, lo, hi):
-    """Enclosure of p over [lo, hi] by interval Horner; exact endpoints."""
-    acc_lo = Fraction(0)
-    acc_hi = Fraction(0)
-    for c in reversed(p):
-        cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-        acc_lo = min(cands) + c
-        acc_hi = max(cands) + c
-    return acc_lo, acc_hi
+    """Enclosure of p over [lo, hi] by interval Horner; exact endpoints.
+
+    Runs in integers: with the coefficients over their common denominator
+    d and the endpoints over theirs, q, the accumulator after k
+    coefficients is kept scaled by d * q^(k-1).  Scaling by a positive
+    factor keeps the min/max choices, so the result equals interval Horner
+    over Fractions.
+    """
+    if not p:
+        return Fraction(0), Fraction(0)
+    lo = Fraction(lo)
+    hi = Fraction(hi)
+    d = 1
+    for c in p:
+        d = d // int_gcd(d, c.denominator) * c.denominator
+    nums = [c.numerator * (d // c.denominator) for c in reversed(p)]
+    q = lo.denominator // int_gcd(lo.denominator, hi.denominator) * hi.denominator
+    a = lo.numerator * (q // lo.denominator)
+    b = hi.numerator * (q // hi.denominator)
+    acc_lo = acc_hi = nums[0]
+    qk = 1
+    for c in nums[1:]:
+        qk *= q
+        cands = (acc_lo * a, acc_lo * b, acc_hi * a, acc_hi * b)
+        acc_lo = min(cands) + c * qk
+        acc_hi = max(cands) + c * qk
+    den = d * qk
+    return Fraction(acc_lo, den), Fraction(acc_hi, den)
 
 
 def sturm_chain(p):

@@ -12,9 +12,15 @@ Three representations share one interface:
   for ingesting decimal data but refused wherever a certified answer is
   required.
 
+Signs, zero tests and floors of algebraic values are decided from the
+field's current root enclosure first; a polynomial gcd with the modulus
+runs only when the enclosure contains the candidate (0, or the one integer
+a floor could be).
+
 Values are immutable.  The only internal mutation is the monotone
 shrinking of a field's root enclosure, which never changes the value any
-scalar represents and is safe under concurrent readers.
+scalar represents; the enclosure is replaced as one tuple, so every read
+sees a valid enclosure.
 """
 
 from enum import Enum
@@ -43,7 +49,7 @@ class NumberField:
     checked, by Sturm count, to isolate exactly one real root.
     """
 
-    __slots__ = ("modulus", "_lo", "_hi", "_chain", "_exact_root")
+    __slots__ = ("modulus", "_enclosure", "_positive_at_hi", "_chain", "_exact_root")
 
     def __init__(self, modulus, lo, hi):
         mod = poly.to_int_poly(poly.square_free_part(poly.trim(modulus)))
@@ -59,8 +65,11 @@ class NumberField:
         if poly.count_roots(chain, lo, hi) != 1:
             raise MalformedInput("interval does not isolate exactly one root")
         self.modulus = mod
-        self._lo = lo
-        self._hi = hi
+        # (lo, hi) is replaced as a whole, so every read sees a valid
+        # enclosure; the modulus keeps its sign at hi while hi moves toward
+        # the isolated root, since no other root lies in between
+        self._enclosure = (lo, hi)
+        self._positive_at_hi = poly.evaluate(mod, hi) > 0
         self._chain = chain
         self._exact_root = None
 
@@ -69,28 +78,30 @@ class NumberField:
         return poly.degree(self.modulus)
 
     def enclosure(self):
-        if self._exact_root is not None:
-            return self._exact_root, self._exact_root
-        return self._lo, self._hi
+        return self._enclosure
 
     def refine_once(self):
         """One bisection step on the root enclosure."""
         if self._exact_root is not None:
             return
-        mid = (self._lo + self._hi) / 2
+        lo, hi = self._enclosure
+        mid = (lo + hi) / 2
         v = poly.evaluate(self.modulus, mid)
         if v == 0:
             # the isolated root happens to be rational; pin it
+            self._enclosure = (mid, mid)
             self._exact_root = mid
-            return
-        if (v > 0) == (poly.evaluate(self.modulus, self._hi) > 0):
-            self._hi = mid
+        elif (v > 0) == self._positive_at_hi:
+            self._enclosure = (lo, mid)
         else:
-            self._lo = mid
+            self._enclosure = (mid, hi)
 
     def refine_to(self, eps):
         eps = Fraction(eps)
-        while self._exact_root is None and self._hi - self._lo > eps:
+        while self._exact_root is None:
+            lo, hi = self._enclosure
+            if hi - lo <= eps:
+                break
             self.refine_once()
 
     def same_root(self, other):
@@ -99,10 +110,15 @@ class NumberField:
             return True
         if not isinstance(other, NumberField) or other.modulus != self.modulus:
             return False
-        lo = max(self._lo, other._lo)
-        hi = min(self._hi, other._hi)
-        if lo >= hi:
+        (lo, hi), (olo, ohi) = self._enclosure, other._enclosure
+        lo = max(lo, olo)
+        hi = min(hi, ohi)
+        if lo > hi:
             return False
+        if lo == hi:
+            # only a pinned rational root makes an enclosure a single point
+            # (the endpoints of the others are never roots)
+            return poly.evaluate(self.modulus, lo) == 0
         return poly.count_roots(self._chain, lo, hi) == 1
 
     def __repr__(self):
@@ -122,6 +138,9 @@ def _elem_is_zero(coeffs, field):
         return False
     if field._exact_root is not None:
         return poly.evaluate(c, field._exact_root) == 0
+    vlo, vhi = poly.evaluate_interval(c, *field.enclosure())
+    if vlo > 0 or vhi < 0:
+        return False
     g = poly.gcd(c, field.modulus)
     if poly.degree(g) < 1:
         return False
@@ -133,18 +152,15 @@ def _elem_is_zero(coeffs, field):
 
 
 def _elem_sign(coeffs, field):
-    if _elem_is_zero(coeffs, field):
-        return 0
-    if field._exact_root is not None:
-        v = poly.evaluate(coeffs, field._exact_root)
-        return 1 if v > 0 else -1
-    for _ in range(_SIGN_BUDGET):
-        lo, hi = field.enclosure()
-        vlo, vhi = poly.evaluate_interval(coeffs, lo, hi)
+    # the first pass decides most signs before any exact zero test
+    for attempt in range(_SIGN_BUDGET):
+        vlo, vhi = poly.evaluate_interval(coeffs, *field.enclosure())
         if vlo > 0:
             return 1
         if vhi < 0:
             return -1
+        if attempt == 0 and _elem_is_zero(coeffs, field):
+            return 0
         field.refine_once()
     raise BudgetExceeded("sign refinement did not settle")
 
@@ -339,8 +355,6 @@ class AlgebraicScalar(Scalar):
         oc = self._coerce(other)
         if oc is None:
             return NotImplemented
-        if _elem_is_zero(oc, self.field):
-            raise ZeroDivisionError("division by zero field element")
         inv = _elem_inverse(oc, self.field)
         return self._make(self.field, poly.mul(self.coeffs, inv))
 
@@ -519,10 +533,11 @@ def interval(lo, hi):
 def floor_exact(x, budget=DEFAULT_REFINE_BUDGET):
     """Exact floor of a scalar.
 
-    Algebraic values refine their isolating interval until an integer is
-    excluded (after an exact test for being an integer); plain intervals
-    that straddle an integer raise :class:`IndeterminateFloor` since they
-    carry no refinement oracle.
+    Algebraic values refine their isolating interval until no integer is
+    left inside the value's enclosure; once a single integer k is left, one
+    exact test of x == k runs.  Plain intervals that straddle an integer
+    raise :class:`IndeterminateFloor` since they carry no refinement
+    oracle.
     """
     if isinstance(x, RationalScalar):
         return _floor(x.value)
@@ -532,14 +547,16 @@ def floor_exact(x, budget=DEFAULT_REFINE_BUDGET):
             return flo
         raise IndeterminateFloor("interval %r straddles an integer" % x)
     if isinstance(x, AlgebraicScalar):
+        tested = None
         for _ in range(budget):
             lo, hi = x.enclosure()
             flo, fhi = _floor(lo), _floor(hi)
             if flo == fhi:
                 return flo
-            for k in range(flo + 1, fhi + 1):
-                if x == k:
-                    return k
+            if fhi == flo + 1 and fhi != tested:
+                if x == fhi:
+                    return fhi
+                tested = fhi
             x.field.refine_once()
         raise IndeterminateFloor("floor refinement budget exhausted for %r" % x)
     raise MalformedInput("floor_exact expects a Scalar, got %r" % (x,))
@@ -563,6 +580,12 @@ def compare(x, y, budget=_SIGN_BUDGET):
                 return Ordering.GT
             if xlo == xhi == ylo == yhi:
                 return Ordering.EQ
+            # a value strictly inside a fuzzy interval stays there however
+            # far it is refined
+            if isinstance(x, IntervalScalar) and xlo < ylo and yhi < xhi:
+                break
+            if isinstance(y, IntervalScalar) and ylo < xlo and xhi < yhi:
+                break
             progressed = False
             for side in (x, y):
                 if (

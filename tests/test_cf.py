@@ -6,6 +6,7 @@ import pytest
 from conftest import random_positive_fraction, rng_for, tribonacci_vector
 from jperron import cf as cf_module
 from jperron import intmat
+from jperron import polynomials as poly
 from jperron.cf import (
     Expansion,
     Tail,
@@ -33,9 +34,12 @@ from jperron.errors import (
     NonPositiveState,
 )
 from jperron.scalars import (
+    AlgebraicScalar,
+    IntervalScalar,
     RationalScalar,
     ScalarVector,
     algebraic,
+    floor_exact,
     interval,
     rational,
 )
@@ -678,3 +682,97 @@ def test_diagnostic_unchanged_on_periodic_fixture(tribonacci):
         )
         assert report.diameters == expected
     assert convergence_diagnostic(exp).depth == 3
+
+
+# ---------------------------------------------------------------- field step
+
+
+def _divided_step(state):
+    """The step with every fractional part divided by the head separately."""
+    digits = tuple(floor_exact(x) for x in state.entries[1:])
+    fracs = [x - b for x, b in zip(state.entries[1:], digits)]
+    if fracs[0].sign() == 0:
+        return digits, None
+    head = fracs[0]
+    return digits, [rational(1)] + [f / head for f in fracs[1:]] + [rational(1) / head]
+
+
+def _assert_same_scalar(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, AlgebraicScalar):
+        assert a.field is b.field and a.coeffs == b.coeffs
+    elif isinstance(a, IntervalScalar):
+        assert (a.lo, a.hi) == (b.lo, b.hi)
+    else:
+        assert a.value == b.value
+
+
+def _random_state(rng, g, rank):
+    entries = [rational(1)]
+    for _ in range(rank - 1):
+        kind = rng.choice(("alg", "alg", "rat"))
+        if kind == "rat":
+            entries.append(rational(rng.randint(0, 40), rng.randint(1, 9)))
+        else:
+            x = rational(rng.randint(0, 9), rng.randint(1, 5))
+            power = rational(1)
+            for _ in range(3):
+                power = power * g
+                x = x + power * Fraction(rng.randint(0, 9), rng.randint(1, 5))
+            entries.append(x)
+    return ScalarVector(entries)
+
+
+def test_jpa_step_matches_divided_step_ranks_2_to_5():
+    rng = rng_for("one-inverse-step")
+    g = algebraic([-2, 0, 0, 0, 1], 1, 2)
+    steps = 0
+    for rank in range(2, 6):
+        for _ in range(12):
+            state = _random_state(rng, g, rank)
+            for _ in range(4):
+                digits, nxt = jpa_step(state)
+                want_digits, want = _divided_step(state)
+                assert digits == want_digits
+                if want is None:
+                    assert nxt is None
+                    break
+                assert len(nxt) == len(want)
+                for a, b in zip(nxt.entries, want):
+                    _assert_same_scalar(a, b)
+                state = nxt
+                steps += 1
+    assert steps > 100
+    # interval states divide by an interval head
+    state = ScalarVector(
+        [
+            rational(1),
+            interval(Fraction(13, 10), Fraction(14, 10)),
+            interval(2, Fraction(21, 10)),
+        ]
+    )
+    digits, nxt = jpa_step(state)
+    want_digits, want = _divided_step(state)
+    assert digits == want_digits
+    for a, b in zip(nxt.entries, want):
+        _assert_same_scalar(a, b)
+
+
+def test_algebraic_expansion_inverts_once_per_step(monkeypatch):
+    g = algebraic([-2, 0, 0, 0, 1], 1, 2)
+    theta = [1, g, g * g, g * g * g]
+    counts = {"extended_gcd": 0, "jpa_step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(
+        poly, "extended_gcd", counted("extended_gcd", poly.extended_gcd)
+    )
+    monkeypatch.setattr(cf_module, "jpa_step", counted("jpa_step", jpa_step))
+    e = jpa_expand(theta, 48)
+    assert e.depth == 48 and e.tail.kind == "truncated"
+    assert counts == {"extended_gcd": 48, "jpa_step": 48}

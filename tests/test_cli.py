@@ -291,3 +291,33 @@ def test_decimal_exponent_at_the_limit_is_read():
     assert cli._coerce_entry("2.5e3", "interval") == {
         "ivl": {"lo": [2500, 1], "hi": [2500, 1]}
     }
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's int/str digit limit, set to its default for the test."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_integer_literal_beyond_digit_limit_is_malformed(digit_limit, capsys):
+    theta = "[1, 1%s]" % ("0" * (digit_limit + 100))
+    code = cli.main(["expand", "--theta", theta, "--depth", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "parse" and "limit" in payload["message"]
+
+
+def test_unprintable_result_is_a_json_error(digit_limit, capsys):
+    # 1e-limit is accepted, but the digit 10^limit has one digit too many
+    theta = json.dumps([1, "1e-%d" % digit_limit])
+    code = cli.main(["expand", "--theta", theta, "--depth", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "error" and "cannot print" in payload["message"]

@@ -77,6 +77,44 @@ def test_interval_evaluation_encloses():
             assert lo <= v <= hi
 
 
+def _fraction_horner_interval(p, lo, hi):
+    # reference: interval Horner over Fractions
+    acc_lo = acc_hi = Fraction(0)
+    for c in reversed(p):
+        cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
+        acc_lo = min(cands) + c
+        acc_hi = max(cands) + c
+    return acc_lo, acc_hi
+
+
+def test_interval_evaluation_matches_fraction_horner():
+    rng = rng_for("ival-horner-exact")
+    for trial in range(400):
+        n = rng.randint(1, 7)
+        if trial % 2:
+            p = tuple(rng.randint(-10**6, 10**6) for _ in range(n))
+        else:
+            p = tuple(
+                Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+                for _ in range(n)
+            )
+        a = Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 10**3))
+        if trial % 5 == 0:
+            b = a  # zero width
+        elif trial % 5 == 1:
+            a, b = -abs(a) - 1, -abs(a) / 2 - Fraction(1, 3)  # all negative
+        else:
+            b = a + Fraction(rng.randint(1, 10**4), rng.randint(1, 10**3))
+        got = poly.evaluate_interval(p, a, b)
+        assert got == _fraction_horner_interval(p, a, b)
+        assert all(type(v) is Fraction for v in got)
+    # integer endpoints and the zero polynomial
+    assert poly.evaluate_interval((1, -3, 2), -2, 5) == _fraction_horner_interval(
+        (1, -3, 2), -2, 5
+    )
+    assert poly.evaluate_interval((), Fraction(-1), Fraction(2)) == (0, 0)
+
+
 def test_to_int_poly_normalizes():
     # leading coefficient is the last entry and ends up positive
     assert poly.to_int_poly((Fraction(2, 3), Fraction(-4, 3))) == (-1, 2)

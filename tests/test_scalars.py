@@ -7,6 +7,7 @@ from jperron.errors import IndeterminateFloor, MalformedInput
 from jperron.scalars import (
     AlgebraicScalar,
     IntervalScalar,
+    NumberField,
     Ordering,
     RationalScalar,
     ScalarVector,
@@ -282,3 +283,63 @@ def test_isolating_interval_must_isolate():
         algebraic([-2, 0, 1], -2, 2)  # both roots of x^2 - 2 inside
     with pytest.raises(MalformedInput):
         algebraic([-4, 0, 1], 1, 2)  # endpoint hits the root x = 2
+
+
+# ---------------------------------------------------------------- operation counts
+
+
+def _count(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_floor_cost_grows_with_bits_not_magnitude(monkeypatch):
+    x = sqrt2() * 10**5
+    eq_tests = _count(monkeypatch, AlgebraicScalar, "__eq__")
+    refinements = _count(monkeypatch, NumberField, "refine_once")
+    assert floor_exact(x) == 141421
+    assert len(eq_tests) <= 1
+    assert len(refinements) <= 64
+
+
+def test_floor_tests_each_candidate_integer_once(monkeypatch):
+    # 2 + (x^2 - 2)/4 is exactly 2 at sqrt(2) but its enclosure keeps
+    # straddling 2 until the test fires
+    g = algebraic([-4, 0, 0, 0, 1], 1, Fraction(3, 2))  # sqrt2 via x^4 - 4
+    x = AlgebraicScalar(g.field, (Fraction(3, 2), 0, Fraction(1, 4)))
+    eq_tests = _count(monkeypatch, AlgebraicScalar, "__eq__")
+    assert floor_exact(x) == 2
+    assert len(eq_tests) == 1
+    y = x + Fraction(1, 10**9)
+    assert floor_exact(y) == 2
+    assert len(eq_tests) == 2
+
+
+def test_compare_inside_fuzzy_interval_stops_early(monkeypatch):
+    x = sqrt2()
+    refinements = _count(monkeypatch, NumberField, "refine_once")
+    fuzzy = interval(Fraction(13, 10), Fraction(3, 2))
+    assert compare(x, fuzzy) is Ordering.INDETERMINATE
+    assert compare(fuzzy, x) is Ordering.INDETERMINATE
+    assert len(refinements) <= 16
+    lo, hi = x.field.enclosure()
+    assert hi.denominator < 2**16  # the shared enclosure stays small
+
+
+def test_same_root_with_a_pinned_rational_root():
+    # (x^2 - 2)(x - 3) bisected from (5/2, 7/2) pins the root 3 at once
+    pinned = NumberField([6, -2, -3, 1], Fraction(5, 2), Fraction(7, 2))
+    pinned.refine_once()
+    assert pinned.enclosure() == (3, 3)
+    assert pinned.same_root(NumberField([6, -2, -3, 1], 2, Fraction(7, 2)))
+    assert not pinned.same_root(NumberField([6, -2, -3, 1], 1, 2))
+    other = NumberField([6, -2, -3, 1], Fraction(11, 4), Fraction(13, 4))
+    other.refine_once()
+    assert pinned.same_root(other) and other.same_root(pinned)
