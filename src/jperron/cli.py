@@ -44,14 +44,22 @@ EXIT_INDETERMINATE = 2
 EXIT_NO_COMMON_TAIL = 3
 
 
+def _render(fn, *args, **kwargs):
+    """The report ``fn(*args, **kwargs)`` builds, as one string.
+
+    The whole report is built before anything is written, so a failure
+    leaves stdout empty.
+    """
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        # an integer beyond Python's int/str digit limit
+        raise JperronError("cannot print the result: %s" % exc) from exc
+
+
 def _emit(obj, stream=None):
     stream = stream or sys.stdout
-    try:
-        text = json.dumps(obj, sort_keys=True)
-    except ValueError as exc:
-        # an integer beyond Python's int/str digit limit; nothing is written
-        raise JperronError("cannot print the result: %s" % exc) from exc
-    stream.write(text + "\n")
+    stream.write(_render(json.dumps, obj, sort_keys=True) + "\n")
 
 
 def _error(kind, message, position=None):
@@ -186,11 +194,19 @@ def cmd_expand(args):
     )
     payload = expansion_to_json(exp)
     if args.format == "text":
-        print("rank %d, depth %d, tail %s" % (exp.rank, exp.depth, exp.tail.kind))
-        print("blocks: %s" % (payload["blocks"],))
+        sys.stdout.write(_render(_expand_text, exp, payload))
     else:
         _emit(payload)
     return EXIT_OK
+
+
+def _expand_text(exp, payload):
+    return "rank %d, depth %d, tail %s\nblocks: %s\n" % (
+        exp.rank,
+        exp.depth,
+        exp.tail.kind,
+        payload["blocks"],
+    )
 
 
 def cmd_bratteli(args):
@@ -211,12 +227,7 @@ def cmd_bratteli(args):
             "note": decision.note,
         }
         if args.format == "text":
-            offs = (
-                "offsets %s/%s" % tuple(decision.offsets)
-                if decision.offsets
-                else "no offsets"
-            )
-            print("%s, %s" % (decision.verdict.replace("_", " "), offs))
+            sys.stdout.write(_render(_tail_text, decision))
         else:
             _emit(payload)
         return EXIT_OK
@@ -224,16 +235,31 @@ def cmd_bratteli(args):
     exp = expansion_from_json(obj)
     diag = bratteli_mod.build_diagram(exp)
     if args.format == "dot":
-        sys.stdout.write(bratteli_mod.to_dot(diag, depth=args.depth))
+        sys.stdout.write(_render(bratteli_mod.to_dot, diag, depth=args.depth))
     elif args.format == "text":
         st = bratteli_mod.is_stationary(exp)
-        print(
-            "rank %d, %d levels, tail %s, stationary: %s"
-            % (diag.rank, diag.depth, exp.tail.kind, bool(st))
-        )
+        sys.stdout.write(_render(_diagram_text, diag, exp.tail.kind, bool(st)))
     else:
         _emit(bratteli_mod.diagram_to_json(diag))
     return EXIT_OK
+
+
+def _diagram_text(diag, tail_kind, stationary):
+    return "rank %d, %d levels, tail %s, stationary: %s\n" % (
+        diag.rank,
+        diag.depth,
+        tail_kind,
+        stationary,
+    )
+
+
+def _tail_text(decision):
+    offs = (
+        "offsets %s/%s" % tuple(decision.offsets)
+        if decision.offsets
+        else "no offsets"
+    )
+    return "%s, %s\n" % (decision.verdict.replace("_", " "), offs)
 
 
 def cmd_represent(args):
@@ -254,32 +280,36 @@ def cmd_represent(args):
     payload = representation_to_json(rep)
     payload["report"] = report.to_json()
     if args.format == "text":
-        print(
-            "rank %d, certification %s, faithfulness %s"
-            % (rep.rank, rep.certification, report.faithfulness)
-        )
-        for name, m in sorted(rep.matrices.items()):
-            print("%s: %s" % (name, m))
-        for entry in report.entries:
-            mark = "ok" if entry.ok else "FLAG"
-            print(
-                "[%s] %s%s: %s"
-                % (
-                    mark,
-                    entry.kind,
-                    " (%s)" % entry.generator if entry.generator else "",
-                    entry.message,
-                )
-            )
+        sys.stdout.write(_render(_represent_text, rep, report))
     else:
         _emit(payload)
     return EXIT_OK
 
 
+def _represent_text(rep, report):
+    lines = [
+        "rank %d, certification %s, faithfulness %s"
+        % (rep.rank, rep.certification, report.faithfulness)
+    ]
+    lines.extend("%s: %s" % (name, m) for name, m in sorted(rep.matrices.items()))
+    for entry in report.entries:
+        mark = "ok" if entry.ok else "FLAG"
+        lines.append(
+            "[%s] %s%s: %s"
+            % (
+                mark,
+                entry.kind,
+                " (%s)" % entry.generator if entry.generator else "",
+                entry.message,
+            )
+        )
+    return "".join(line + "\n" for line in lines)
+
+
 def cmd_genus(args):
     rank = genus_rank(args.g)
     if args.format == "text":
-        print(rank)
+        sys.stdout.write(_render(str, rank) + "\n")
     else:
         _emit({"genus": args.g, "rank": rank})
     return EXIT_OK

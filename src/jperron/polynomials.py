@@ -91,21 +91,66 @@ def gcd(p, q):
     return monic(a)
 
 
+def _over_one_den(p):
+    """(integer numerators, least common denominator) of int/Fraction p."""
+    den = 1
+    for c in p:
+        den = den // int_gcd(den, c.denominator) * c.denominator
+    return [c.numerator * (den // c.denominator) for c in p], den
+
+
+def _cancel_step(p, q, s, t, k):
+    """s*p - t*x^k*q on integer coefficient lists, trimmed."""
+    out = [s * c for c in p]
+    out.extend([0] * (len(q) + k - len(out)))
+    for j, c in enumerate(q):
+        out[j + k] -= t * c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def extended_gcd(p, q):
-    """Return (g, u, v) with u*p + v*q = g and g monic."""
-    a, b = trim(p), trim(q)
-    ua, va = (Fraction(1),), ZERO
-    ub, vb = ZERO, (Fraction(1),)
+    """Return (g, u, v) with u*p + v*q = g and g monic.
+
+    Runs fraction-free.  With P = dp*p and Q = dq*q integral, every row
+    (r, u, v) of the remainder sequence satisfies r = u*P + v*Q in
+    integers: r is reduced by the next row through one-term
+    pseudo-division (both scaled so that the leading terms cancel) and then
+    divided by the content of the whole row.  The remainder over Q is
+    unique, so each row is a nonzero rational multiple of the Euclidean
+    row, and dividing the last one by the leading coefficient of r gives
+    the same g, u and v as Euclid over Q.
+    """
+    a, dp = _over_one_den(trim(p))
+    b, dq = _over_one_den(trim(q))
+    ua, va = [1], []
+    ub, vb = [], [1]
     while b:
-        quo, rem = div_mod(a, b)
-        a, b = b, rem
-        ua, ub = ub, sub(ua, mul(quo, ub))
-        va, vb = vb, sub(va, mul(quo, vb))
+        lb = b[-1]
+        while len(a) >= len(b):
+            c = a[-1]
+            g = int_gcd(c, lb)
+            s, t, k = lb // g, c // g, len(a) - len(b)
+            a = _cancel_step(a, b, s, t, k)
+            ua = _cancel_step(ua, ub, s, t, k)
+            va = _cancel_step(va, vb, s, t, k)
+        g = int_gcd(*a, *ua, *va)
+        if g != 1:
+            a = [c // g for c in a]
+            ua = [c // g for c in ua]
+            va = [c // g for c in va]
+        a, b = b, a
+        ua, ub = ub, ua
+        va, vb = vb, va
     if not a:
         return ZERO, ZERO, ZERO
-    lead = Fraction(a[-1])
-    inv = 1 / lead
-    return scale(a, inv), scale(ua, inv), scale(va, inv)
+    lead = a[-1]
+    return (
+        tuple(Fraction(c, lead) for c in a),
+        tuple(Fraction(c * dp, lead) for c in ua),
+        tuple(Fraction(c * dq, lead) for c in va),
+    )
 
 
 def derivative(p):
@@ -167,10 +212,7 @@ def evaluate_interval(p, lo, hi):
         return Fraction(0), Fraction(0)
     lo = Fraction(lo)
     hi = Fraction(hi)
-    d = 1
-    for c in p:
-        d = d // int_gcd(d, c.denominator) * c.denominator
-    nums = [c.numerator * (d // c.denominator) for c in reversed(p)]
+    nums, d = _over_one_den(p[::-1])
     q = lo.denominator // int_gcd(lo.denominator, hi.denominator) * hi.denominator
     a = lo.numerator * (q // lo.denominator)
     b = hi.numerator * (q // hi.denominator)

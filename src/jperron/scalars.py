@@ -4,10 +4,14 @@ Three representations share one interface:
 
 * rational -- ``fractions.Fraction``, exact and decidable everywhere;
 * algebraic -- an element of a declared real number field Q(g), stored as a
-  rational polynomial in the generator g, where g is pinned down by an
-  integer polynomial and an isolating interval.  Equality, sign, floor and
-  comparison are all decided exactly (the modulus only needs to be
-  square-free; zero divisors are handled through gcd splitting);
+  polynomial in the generator g, where g is pinned down by an integer
+  polynomial and an isolating interval.  The polynomial is kept as integer
+  numerators over one positive denominator, reduced modulo the field
+  modulus exactly once per operation (pseudo-reduction when the modulus is
+  not monic); the inverse is a fraction-free extended gcd.  Equality,
+  sign, floor and comparison are all decided exactly (the modulus only
+  needs to be square-free; zero divisors are handled through gcd
+  splitting);
 * interval -- a rational enclosure with no refinement oracle, good enough
   for ingesting decimal data but refused wherever a certified answer is
   required.
@@ -26,6 +30,7 @@ sees a valid enclosure.
 from enum import Enum
 from fractions import Fraction
 from math import floor as _floor
+from math import gcd
 
 from . import polynomials as poly
 from .errors import BudgetExceeded, IndeterminateFloor, MalformedInput
@@ -126,8 +131,39 @@ class NumberField:
         return "NumberField(%r, %s, %s)" % (list(self.modulus), lo, hi)
 
 
-def _reduce(coeffs, field):
-    return poly.div_mod(poly.trim(coeffs), field.modulus)[1]
+def _split(coeffs):
+    """Rational coefficients as (trimmed integer numerators, one denominator)."""
+    return poly._over_one_den(poly.trim(Fraction(c) for c in coeffs))
+
+
+def _reduced(modulus, num, den):
+    """num/den reduced modulo an integer modulus, as (num, den) in lowest terms.
+
+    This is pseudo-reduction: before a top term c*x^k is cancelled by a
+    multiple of x^k*modulus, the numerator is scaled by lead/gcd(c, lead),
+    ``lead`` the leading coefficient of the modulus, and that factor is
+    folded into ``den``.  ``lead`` is positive, so ``den`` stays positive;
+    a monic modulus never scales.
+    """
+    lead = modulus[-1]
+    while len(num) >= len(modulus):
+        c = num[-1]
+        g = gcd(c, lead)
+        s = lead // g
+        num = poly._cancel_step(num, modulus, s, c // g, len(num) - len(modulus))
+        den *= s
+    g = gcd(den, *num)
+    if g != 1:
+        return tuple(x // g for x in num), den // g
+    return tuple(num), den
+
+
+def _sum(a, da, b, db):
+    """(num, den) of a/da + b/db, scaled to a common denominator if needed."""
+    if da == db:
+        return poly.add(a, b), da
+    g = gcd(da, db)
+    return poly.add(poly.scale(a, db // g), poly.scale(b, da // g)), da // g * db
 
 
 def _elem_is_zero(coeffs, field):
@@ -166,20 +202,23 @@ def _elem_sign(coeffs, field):
 
 
 def _elem_inverse(coeffs, field):
+    """Rational coefficients of 1/c, of degree below the field's."""
     c = poly.trim(coeffs)
     if _elem_is_zero(c, field):
         raise ZeroDivisionError("division by zero field element")
-    return _inv_mod(c, field.modulus, field)
+    return _inv_mod(c, field.modulus)
 
 
-def _inv_mod(c, modulus, field):
+def _inv_mod(c, modulus):
+    # the Bezout cofactor u of u*c + v*modulus = 1 has degree below the
+    # modulus, so it needs no further reduction
     g, u, _ = poly.extended_gcd(c, modulus)
     if poly.degree(g) == 0:
-        return _reduce(u, field)
+        return u
     # c is a zero divisor modulo a reducible square-free modulus but does
     # not vanish at the generator: invert modulo the cofactor instead.
     cofactor = poly.div_mod(modulus, g)[0]
-    return _inv_mod(poly.div_mod(c, cofactor)[1], cofactor, field)
+    return _inv_mod(poly.div_mod(c, cofactor)[1], cofactor)
 
 
 class Scalar:
@@ -292,71 +331,100 @@ class RationalScalar(Scalar):
 
 
 class AlgebraicScalar(Scalar):
-    """An element of a :class:`NumberField`, as a polynomial in the generator."""
+    """An element of a :class:`NumberField`, as a polynomial in the generator.
 
-    __slots__ = ("field", "coeffs")
+    The polynomial is held as integer numerators ``num`` over one positive
+    denominator ``den``, reduced modulo the field modulus and in lowest
+    terms (``gcd(den, *num) == 1``).
+    """
+
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field, coeffs):
         self.field = field
-        self.coeffs = tuple(Fraction(c) for c in _reduce(coeffs, field))
+        self.num, self.den = _reduced(field.modulus, *_split(coeffs))
 
-    def _coerce(self, other):
-        """Coefficients of ``other`` in self's field, or None."""
+    @classmethod
+    def _of(cls, field, num, den):
+        """An element from numerators and denominator already in normal form."""
+        x = object.__new__(cls)
+        x.field = field
+        x.num = num
+        x.den = den
+        return x
+
+    @property
+    def coeffs(self):
+        """The coefficients as Fractions, constant term first."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    def _operand(self, other):
+        """(num, den) of ``other`` in self's field, or None."""
         if isinstance(other, AlgebraicScalar):
             if other.field is self.field or self.field.same_root(other.field):
-                return other.coeffs
+                return other.num, other.den
             raise MalformedInput("operands live in different number fields")
         if isinstance(other, RationalScalar):
-            return (other.value,)
-        if isinstance(other, (int, Fraction)):
-            return (Fraction(other),)
-        return None
+            other = other.value
+        elif isinstance(other, int):
+            return ((other,) if other else ()), 1
+        elif not isinstance(other, Fraction):
+            return None
+        return ((other.numerator,) if other else ()), other.denominator
 
     @staticmethod
-    def _make(field, coeffs):
-        coeffs = _reduce(coeffs, field)
-        if poly.degree(coeffs) < 1:
-            return RationalScalar(coeffs[0] if coeffs else 0)
-        return AlgebraicScalar(field, coeffs)
+    def _make(field, num, den):
+        """num/den reduced once; degree below 1 demotes to a RationalScalar."""
+        num, den = _reduced(field.modulus, num, den)
+        if len(num) < 2:
+            return RationalScalar(Fraction(num[0], den) if num else Fraction(0))
+        return AlgebraicScalar._of(field, num, den)
 
     def sign(self):
-        return _elem_sign(self.coeffs, self.field)
+        return _elem_sign(self.num, self.field)
 
     def enclosure(self, eps=None):
         if eps is not None:
             eps = Fraction(eps)
         while True:
             lo, hi = self.field.enclosure()
-            vlo, vhi = poly.evaluate_interval(self.coeffs, lo, hi)
+            vlo, vhi = poly.evaluate_interval(self.num, lo, hi)
+            if self.den != 1:
+                vlo, vhi = vlo / self.den, vhi / self.den
             if eps is None or vhi - vlo <= eps or self.field._exact_root is not None:
                 return vlo, vhi
             self.field.refine_once()
 
     def __add__(self, other):
-        oc = self._coerce(other)
-        if oc is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return self._make(self.field, poly.add(self.coeffs, oc))
+        return self._make(self.field, *_sum(self.num, self.den, *o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraicScalar(self.field, poly.neg(self.coeffs))
+        return AlgebraicScalar._of(self.field, poly.neg(self.num), self.den)
 
     def __mul__(self, other):
-        oc = self._coerce(other)
-        if oc is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return self._make(self.field, poly.mul(self.coeffs, oc))
+        onum, oden = o
+        return self._make(self.field, poly.mul(self.num, onum), self.den * oden)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        oc = self._coerce(other)
-        if oc is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        inv = _elem_inverse(oc, self.field)
-        return self._make(self.field, poly.mul(self.coeffs, inv))
+        onum, oden = o
+        inum, iden = _split(_elem_inverse(onum, self.field))
+        # (num/den) / (onum/oden) = num * oden * (1/onum) / den
+        return self._make(
+            self.field, poly.mul(poly.scale(self.num, oden), inum), self.den * iden
+        )
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -365,12 +433,13 @@ class AlgebraicScalar(Scalar):
 
     def __eq__(self, other):
         try:
-            oc = self._coerce(other)
+            o = self._operand(other)
         except MalformedInput:
             return compare(self, other) is Ordering.EQ
-        if oc is None:
+        if o is None:
             return NotImplemented
-        return _elem_is_zero(poly.sub(self.coeffs, oc), self.field)
+        onum, oden = o
+        return _elem_is_zero(_sum(self.num, self.den, poly.neg(onum), oden)[0], self.field)
 
     __hash__ = None
 
@@ -384,9 +453,10 @@ class AlgebraicScalar(Scalar):
         """
         d = self.field.degree
         pivots = []  # (pivot index, vector, combination) rows in echelon form
-        power = (Fraction(1),)
+        power, power_den = (1,), 1
         for k in range(d + 1):
-            vec = list(power) + [Fraction(0)] * (d - len(power))
+            vec = [Fraction(c, power_den) for c in power]
+            vec += [Fraction(0)] * (d - len(power))
             combo = [Fraction(0)] * (d + 1)
             combo[k] = Fraction(1)
             for pidx, pvec, pcombo in pivots:
@@ -401,7 +471,9 @@ class AlgebraicScalar(Scalar):
             vec = [a * inv for a in vec]
             combo = [a * inv for a in combo]
             pivots.append((nz, vec, combo))
-            power = _reduce(poly.mul(power, self.coeffs), self.field)
+            power, power_den = _reduced(
+                self.field.modulus, poly.mul(power, self.num), power_den * self.den
+            )
         raise AssertionError("no dependency among field element powers")
 
     def isolating_data(self):
@@ -777,7 +849,7 @@ def scalar_from_json(obj):
             except (TypeError, ValueError) as exc:
                 raise MalformedInput("bad coeffs in %r" % (obj,)) from exc
             field = NumberField(mod, lo, hi)
-            return AlgebraicScalar._make(field, tuple(coeffs))
+            return AlgebraicScalar._make(field, *_split(coeffs))
         return algebraic(mod, lo, hi)
     if tag == "ivl":
         try:
@@ -805,7 +877,7 @@ def vector_from_json(obj):
             lo, hi = e.field.enclosure()
             key = (e.field.modulus, lo, hi)
             if key in shared:
-                entries[i] = AlgebraicScalar(shared[key], e.coeffs)
+                entries[i] = AlgebraicScalar._of(shared[key], e.num, e.den)
             else:
                 shared[key] = e.field
     return ScalarVector(entries)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from jperron import polynomials as poly
 from jperron.intmat import identity, mat_mul
 from jperron.scalars import ScalarVector, algebraic, rational
 
@@ -37,3 +38,20 @@ def random_positive_fraction(rng, max_num=60, max_den=60):
 def rng_for(name):
     # string-keyed deterministic seeds (hash() is salted per process)
     return random.Random(zlib.crc32(name.encode()))
+
+
+def fraction_extended_gcd(p, q):
+    """Euclid over Q with Fraction coefficients: the oracle for
+    ``poly.extended_gcd``, which runs fraction-free."""
+    a, b = poly.trim(p), poly.trim(q)
+    ua, va = (Fraction(1),), poly.ZERO
+    ub, vb = poly.ZERO, (Fraction(1),)
+    while b:
+        quo, rem = poly.div_mod(a, b)
+        a, b = b, rem
+        ua, ub = ub, poly.sub(ua, poly.mul(quo, ub))
+        va, vb = vb, poly.sub(va, poly.mul(quo, vb))
+    if not a:
+        return poly.ZERO, poly.ZERO, poly.ZERO
+    inv = 1 / Fraction(a[-1])
+    return poly.scale(a, inv), poly.scale(ua, inv), poly.scale(va, inv)

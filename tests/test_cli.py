@@ -321,3 +321,13 @@ def test_unprintable_result_is_a_json_error(digit_limit, capsys):
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "error" and "cannot print" in payload["message"]
+
+
+def test_unprintable_text_report_is_a_json_error(digit_limit, capsys):
+    # the text report is built whole before anything is written
+    theta = json.dumps([1, "1e-%d" % digit_limit])
+    code = cli.main(["expand", "--theta", theta, "--depth", "3", "--format", "text"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "error" and "cannot print" in payload["message"]

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from conftest import rng_for
+from conftest import fraction_extended_gcd, rng_for
 from jperron import polynomials as poly
 
 
@@ -30,6 +30,43 @@ def test_extended_gcd_bezout_random():
         if g:
             assert poly.div_mod(p, g)[1] == ()
             assert poly.div_mod(q, g)[1] == ()
+
+
+def _random_fraction_poly(rng, degree):
+    return poly.trim(
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree + 1)]
+    )
+
+
+def test_extended_gcd_matches_fraction_euclid():
+    rng = rng_for("poly-xgcd-oracle")
+    cases = [
+        ((), ()),
+        ((), (Fraction(3, 2), 1)),
+        ((Fraction(-2, 3), 0, Fraction(5, 7)), ()),
+        ((Fraction(5, 3),), (Fraction(-7, 2),)),
+        ((Fraction(5, 3),), (1, 0, Fraction(1, 2))),
+        ((4, Fraction(1, 3)), (Fraction(-2, 9),)),
+    ]
+    for _ in range(150):
+        p = _random_fraction_poly(rng, rng.randint(0, 5))
+        q = _random_fraction_poly(rng, rng.randint(0, 5))
+        shape = rng.randrange(4)
+        if shape == 1:
+            # a shared linear factor
+            factor = (Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(1, 3)))
+            p, q = poly.mul(p, factor), poly.mul(q, factor)
+        elif shape == 2:
+            # p divides q
+            q = poly.mul(p, q)
+        elif shape == 3:
+            # q divides p
+            p = poly.mul(p, q)
+        cases.append((p, q))
+    for p, q in cases:
+        got = poly.extended_gcd(p, q)
+        assert got == fraction_extended_gcd(p, q), (p, q)
+        assert all(type(c) is Fraction for part in got for c in part)
 
 
 def test_square_free_part_collapses_multiplicity():

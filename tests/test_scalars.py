@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from conftest import rng_for
+from conftest import fraction_extended_gcd, rng_for
+from jperron import polynomials as poly
 from jperron.errors import IndeterminateFloor, MalformedInput
 from jperron.scalars import (
     AlgebraicScalar,
@@ -276,6 +278,143 @@ def test_field_division_round_trip():
         if b.sign() == 0:
             continue
         assert (a / b) * b == a
+
+
+# ------------------------------------------------ field kernel against Fractions
+
+# (modulus, isolating interval, the factor of the modulus that vanishes at
+# the isolated root)
+KERNEL_FIELDS = [
+    ([-2, 0, 0, 0, 1], 1, 2, None),  # x^4 - 2
+    ([-1, -1, -1, 1], Fraction(3, 2), 2, None),  # x^3 - x^2 - x - 1
+    ([-3, 0, 2], 1, 2, None),  # 2x^2 - 3, not monic
+    ([-1, 2, 0, 7], 0, 1, None),  # 7x^3 + 2x - 1, not monic
+    ([6, -2, -3, 1], 1, 2, (-2, 0, 1)),  # (x^2 - 2)(x - 3), root sqrt 2
+]
+
+
+def _ref_reduce(coeffs, modulus):
+    return tuple(Fraction(c) for c in poly.div_mod(poly.trim(coeffs), modulus)[1])
+
+
+def _ref_inverse(c, modulus):
+    # Euclid over Q, splitting off the factor a zero divisor shares with a
+    # reducible modulus
+    g, u, _ = fraction_extended_gcd(c, modulus)
+    if poly.degree(g) == 0:
+        return u
+    cofactor = poly.div_mod(modulus, g)[0]
+    return _ref_inverse(poly.div_mod(c, cofactor)[1], cofactor)
+
+
+def _ref_vanishes(coeffs, root_factor):
+    return poly.div_mod(poly.trim(coeffs), root_factor)[1] == ()
+
+
+def _kernel_coeffs(x):
+    """Coefficients of a result; algebraic ones must be in normal form."""
+    if isinstance(x, RationalScalar):
+        return (x.value,) if x.value else ()
+    assert isinstance(x, AlgebraicScalar)
+    num, den = x.num, x.den
+    assert type(den) is int and den > 0
+    assert all(type(c) is int for c in num)
+    assert not num or num[-1] != 0
+    assert len(num) <= x.field.degree
+    assert gcd(den, *num) == 1
+    return x.coeffs
+
+
+def _kernel_operands(rng, field, root_factor):
+    def rand(n):
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+
+    d = field.degree
+    coeffs = [rand(rng.randint(1, d)) for _ in range(8)]
+    coeffs += [rand(rng.randint(d + 1, 2 * d)) for _ in range(4)]  # unreduced
+    coeffs += [(), (Fraction(5, 3),), (0, 1)]
+    if root_factor is not None:
+        cofactor = poly.div_mod(field.modulus, root_factor)[0]
+        # zero divisors: one vanishes at the root, one does not
+        coeffs.append(poly.mul(root_factor, (Fraction(-1, 2),)))
+        coeffs.append(poly.mul(cofactor, (Fraction(2, 3), Fraction(1, 5))))
+    return [(c, AlgebraicScalar(field, c)) for c in coeffs]
+
+
+def test_field_kernel_matches_fraction_reference():
+    rng = rng_for("field-kernel")
+    for modulus, lo, hi, root_factor in KERNEL_FIELDS:
+        field = NumberField(modulus, lo, hi)
+        mod = field.modulus
+        root_factor = root_factor or mod
+        operands = _kernel_operands(rng, field, root_factor)
+        for c, x in operands:
+            assert _kernel_coeffs(x) == _ref_reduce(c, mod)
+            neg = -x
+            assert isinstance(neg, AlgebraicScalar)
+            assert _kernel_coeffs(neg) == _ref_reduce(poly.neg(c), mod)
+        rationals = [3, Fraction(-7, 4), rational(Fraction(2, 9)), 0]
+        pairs = [(rng.choice(operands), rng.choice(operands)) for _ in range(40)]
+        # results that vanish or are constant
+        pairs += [(xa, xa) for xa in operands[:3]]
+        pairs += [
+            ((c, x), (poly.sub(c, (Fraction(1, 3),)), x - Fraction(1, 3)))
+            for c, x in operands[:3]
+        ]
+        pairs += [((c, x), r) for (c, x) in operands[:4] for r in rationals]
+        for (ca, a), b in pairs:
+            if isinstance(b, tuple):
+                cb, b = b
+            else:
+                v = b.value if isinstance(b, RationalScalar) else Fraction(b)
+                cb = (v,) if v else ()
+            ref_ops = [
+                (a + b, poly.add(ca, cb)),
+                (a - b, poly.sub(ca, cb)),
+                (a * b, poly.mul(ca, cb)),
+            ]
+            if not isinstance(b, AlgebraicScalar):
+                ref_ops += [
+                    (b + a, poly.add(cb, ca)),
+                    (b - a, poly.sub(cb, ca)),
+                    (b * a, poly.mul(cb, ca)),
+                ]
+            for got, ref in ref_ops:
+                ref = _ref_reduce(ref, mod)
+                assert _kernel_coeffs(got) == ref
+                assert isinstance(got, RationalScalar) == (len(ref) < 2)
+            assert (a == b) == _ref_vanishes(poly.sub(ca, cb), root_factor)
+            if _ref_vanishes(cb, root_factor):
+                with pytest.raises(ZeroDivisionError):
+                    a / b
+            else:
+                ref = _ref_reduce(poly.mul(ca, _ref_inverse(_ref_reduce(cb, mod), mod)), mod)
+                assert _kernel_coeffs(a / b) == ref
+            if not isinstance(b, AlgebraicScalar) and not _ref_vanishes(ca, root_factor):
+                inv = _ref_inverse(_ref_reduce(ca, mod), mod)
+                assert _kernel_coeffs(b / a) == _ref_reduce(poly.mul(cb, inv), mod)
+
+
+@pytest.mark.parametrize("modulus, lo, hi", [
+    ([-1, -1, -1, 1], Fraction(3, 2), 2),
+    ([-1, 2, 0, 7], 0, 1),
+])
+def test_field_operations_reduce_without_polynomial_division(monkeypatch, modulus, lo, hi):
+    field = NumberField(modulus, lo, hi)
+    a = AlgebraicScalar(field, (Fraction(-1, 3), 0, 1))
+    b = AlgebraicScalar(field, (Fraction(2, 5), Fraction(7, 3), Fraction(1, 2)))
+    divisions = _count(monkeypatch, poly, "div_mod")
+    for op in (
+        lambda: a + b,
+        lambda: a - b,
+        lambda: a * b,
+        lambda: -a,
+        lambda: a * Fraction(3, 7),
+        lambda: a + 2,
+        lambda: a / b,
+    ):
+        op()
+        assert divisions == []
 
 
 def test_isolating_interval_must_isolate():
