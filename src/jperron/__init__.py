@@ -23,6 +23,7 @@ from .cf import (
     detect_period,
     euclid_chain,
     euclid_gcd,
+    expand_certified,
     expansion_from_json,
     expansion_to_json,
     jpa_expand,

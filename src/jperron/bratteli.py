@@ -26,7 +26,8 @@ from .cf import (
     expansion_to_json,
     step_matrix,
 )
-from .errors import DepthExceeded, MalformedInput, RankMismatch
+from .errors import DepthExceeded, MalformedInput, NoCommonTail, RankMismatch
+from .representation import common_tail
 
 
 @dataclass(frozen=True)
@@ -100,126 +101,51 @@ class TailDecision:
         return self.verdict == self.EQUIVALENT
 
 
-def _canonical_stream(exp):
-    """(preperiod blocks, primitive period blocks or None) in minimal form."""
-    if exp.tail.kind == PERIODIC:
-        pre, per = canonical_periodic(exp.blocks[:exp.tail.preperiod], exp.tail.period)
-        return list(pre), list(per)
-    return list(exp.blocks), None
-
-
-def _stream_block(pre, per, i):
-    if i < len(pre):
-        return pre[i]
-    return per[(i - len(pre)) % len(per)]
-
-
-def _rotation_of(period, target):
-    for r in range(len(period)):
-        if tuple(period[r:] + period[:r]) == tuple(target):
-            return r
-    return None
-
-
 def tail_equivalent(e1, e2, depth_budget=16):
     """Do two digit streams agree from some offsets (p, q) onward?
 
-    For a pair of eventually-periodic (or terminated) streams this is an
-    exact decision; any truncated input demotes the verdict to
-    inconclusive, reporting the deepest agreement found within budget.
+    This is the two-stream case of ``representation.common_tail``.  For a
+    pair of eventually-periodic (or terminated) streams it is an exact
+    decision; any truncated input demotes the verdict to inconclusive,
+    reporting the deepest agreement found within budget.
     """
     if e1.rank != e2.rank:
         raise RankMismatch("ranks %d and %d differ" % (e1.rank, e2.rank))
-    k1, k2 = e1.tail.kind, e2.tail.kind
-    if TRUNCATED in (k1, k2):
-        return _tail_compare_truncated(e1, e2, depth_budget)
-    if k1 != k2:
-        return TailDecision(
-            TailDecision.NOT_EQUIVALENT,
-            certified=True,
-            note="a finite stream shares no tail with an infinite one",
+    kinds = {e1.tail.kind, e2.tail.kind}
+    try:
+        found = common_tail([e1, e2], depth_budget)
+    except NoCommonTail as exc:
+        if TRUNCATED in kinds:
+            return TailDecision(
+                TailDecision.INCONCLUSIVE,
+                compared_depth=0,
+                note="truncated data: no alignment within offset budget %d"
+                % depth_budget,
+            )
+        if len(kinds) > 1:
+            note = "a finite stream shares no tail with an infinite one"
+        else:
+            note = str(exc)
+        return TailDecision(TailDecision.NOT_EQUIVALENT, certified=True, note=note)
+    if TRUNCATED in kinds:
+        verdict = TailDecision.INCONCLUSIVE
+        note = "truncated data: streams agree at all %d compared depths" % (
+            found.compared_depth
         )
-    if k1 == TERMINATED:
-        b1, b2 = list(e1.blocks), list(e2.blocks)
-        s = 0
-        while s < len(b1) and s < len(b2) and b1[len(b1) - 1 - s] == b2[len(b2) - 1 - s]:
-            s += 1
-        return TailDecision(
-            TailDecision.EQUIVALENT,
-            offsets=(len(b1) - s, len(b2) - s),
-            compared_depth=s,
-            certified=True,
-            note="finite streams; longest common suffix has %d blocks" % s,
+    elif kinds == {TERMINATED}:
+        verdict = TailDecision.EQUIVALENT
+        note = "finite streams; longest common suffix has %d blocks" % (
+            found.compared_depth
         )
-    pre1, per1 = _canonical_stream(e1)
-    pre2, per2 = _canonical_stream(e2)
-    if len(per1) != len(per2):
-        return TailDecision(
-            TailDecision.NOT_EQUIVALENT,
-            certified=True,
-            note="primitive periods have different lengths",
-        )
-    r = _rotation_of(per2, per1)
-    if r is None:
-        return TailDecision(
-            TailDecision.NOT_EQUIVALENT,
-            certified=True,
-            note="primitive periods differ under all rotations",
-        )
-    # minimal-total witness: try every phase alignment; for canonical
-    # (minimal-preperiod, primitive-period) streams this is exhaustive
-    length = len(per1)
-    best = None
-    for t in range(length):
-        p = len(pre1) + t
-        q = len(pre2) + ((r + t) % length)
-        while p > 0 and q > 0 and _stream_block(pre1, per1, p - 1) == _stream_block(
-            pre2, per2, q - 1
-        ):
-            p -= 1
-            q -= 1
-        if best is None or (p + q, p) < (best[0] + best[1], best[0]):
-            best = (p, q)
+    else:
+        verdict = TailDecision.EQUIVALENT
+        note = "periodic streams aligned exactly"
     return TailDecision(
-        TailDecision.EQUIVALENT,
-        offsets=best,
-        certified=True,
-        note="periodic streams aligned exactly",
-    )
-
-
-def _tail_compare_truncated(e1, e2, depth_budget):
-    need = max(e1.depth, e2.depth) + depth_budget
-    b1 = e1.realize(need)
-    b2 = e2.realize(need)
-    best = None
-    for total in range(0, 2 * depth_budget + 1):
-        for p in range(0, min(total, depth_budget) + 1):
-            q = total - p
-            if q > depth_budget or p > len(b1) or q > len(b2):
-                continue
-            overlap = min(len(b1) - p, len(b2) - q)
-            if overlap < 1:
-                continue
-            if b1[p:p + overlap] == b2[q:q + overlap]:
-                best = (p, q, overlap)
-                break
-        if best:
-            break
-    if best:
-        p, q, overlap = best
-        return TailDecision(
-            TailDecision.INCONCLUSIVE,
-            offsets=(p, q),
-            compared_depth=overlap,
-            certified=False,
-            note="truncated data: streams agree at all %d compared depths" % overlap,
-        )
-    return TailDecision(
-        TailDecision.INCONCLUSIVE,
-        compared_depth=0,
-        certified=False,
-        note="truncated data: no alignment within offset budget %d" % depth_budget,
+        verdict,
+        offsets=found.offsets,
+        compared_depth=found.compared_depth,
+        certified=TRUNCATED not in kinds,
+        note=note,
     )
 
 
@@ -238,7 +164,9 @@ def is_stationary(exp, max_preperiod=16, max_period=16):
     """Is the limit algebra stationary, i.e. is the stream eventually
     periodic?  Terminated streams are finite, hence not stationary."""
     if exp.tail.kind == PERIODIC:
-        pre, _per = _canonical_stream(exp)
+        pre, _per = canonical_periodic(
+            exp.blocks[:exp.tail.preperiod], exp.tail.period
+        )
         return StationaryVerdict(
             stationary=True,
             periodic_from_start=(len(pre) == 0),

@@ -290,38 +290,92 @@ def _rational_expand(state, max_depth, keep_states=True):
     )
 
 
-def jpa_expand(theta, max_depth, keep_states=True):
-    """Expand a positive vector for up to ``max_depth`` digit blocks."""
+def _positive_state(theta):
     vec = ScalarVector.coerce(theta)
     pos = vec.is_positive()
     if pos is None:
         raise NonPositiveState("cannot certify positivity of the input vector")
     if not pos:
         raise NonPositiveState("input vector must be strictly positive")
-    state = vec.normalized()
+    return vec.normalized()
+
+
+def _expand(state, depth, search=0, keep_states=True):
+    """The Jacobi-Perron loop from a normalized state, for ``jpa_expand``,
+    ``detect_period`` and ``expand_certified``.
+
+    Runs up to max(depth, search) steps and stops at termination; a
+    rational state runs in integers.  In the first ``search`` steps an
+    exact state that recurs stops it with a certified periodic tail.  An
+    indeterminate floor is raised within the first ``depth`` steps; after
+    them it stops the loop, leaving a truncated tail.
+    """
     if _all_rational(state):
-        return _rational_expand(state, max_depth, keep_states)
-    source = state
+        # a rational state never recurs: the integer heads strictly
+        # decrease and the unimodular steps keep the gcd of the vector
+        return _rational_expand(state, max(depth, search), keep_states)
+    exact = all(e.is_exact() for e in state.entries)
     states = [state]
     blocks = []
     tail = Tail.truncated()
     residual = None
-    for _ in range(max_depth):
-        digits, nxt = jpa_step(state)
+    for k in range(max(depth, search)):
+        try:
+            digits, nxt = jpa_step(state)
+        except IndeterminateFloor:
+            if k < depth:
+                raise
+            break
         blocks.append(digits)
         if nxt is None:
             tail = Tail.terminated()
             residual = _terminal_residual(state, digits)
             break
+        j = _find_recurrence(states, nxt) if exact and k < search else None
         state = nxt
         states.append(state)
+        if j is not None:
+            # the period is primitive: if the product P of a shorter
+            # period q fixed states[j] projectively, states[j + q], which
+            # P maps onto states[j], would equal it and recur earlier
+            tail = Tail.periodic(j, blocks[j:])
+            break
     return Expansion(
-        rank=source.rank,
+        rank=state.rank,
         blocks=tuple(blocks),
         tail=tail,
-        theta=source,
+        theta=states[0],
         states=tuple(states) if keep_states else None,
         residual=residual,
+    )
+
+
+def jpa_expand(theta, max_depth, keep_states=True):
+    """Expand a positive vector for up to ``max_depth`` digit blocks."""
+    return _expand(_positive_state(theta), max_depth, keep_states=keep_states)
+
+
+def expand_certified(theta, depth, max_preperiod, max_period):
+    """Expand a positive vector once, certifying its tail when possible.
+
+    Exact input runs max(depth, max_preperiod + max_period) steps and is
+    searched for state recurrence during the first max_preperiod +
+    max_period of them.  A periodic or terminated expansion found in
+    those steps is returned whole; otherwise the result is the first ``depth`` blocks
+    with their states and a truncated tail, as ``jpa_expand`` gives them.
+    Interval input is not searched and expands to ``depth``.
+    """
+    state = _positive_state(theta)
+    exact = all(e.is_exact() for e in state.entries)
+    exp = _expand(state, depth, max_preperiod + max_period if exact else 0)
+    if exp.tail.kind != TRUNCATED or exp.depth <= depth:
+        return exp
+    return Expansion(
+        rank=exp.rank,
+        blocks=exp.blocks[:depth],
+        tail=exp.tail,
+        theta=exp.theta,
+        states=exp.states[:depth + 1],
     )
 
 
@@ -500,21 +554,6 @@ def _find_recurrence(states, candidate):
     return None
 
 
-def _reduce_state_period(blocks, states, j, p):
-    """Shrink a state-certified period to its primitive digit period when
-    the shorter product still fixes the entry state exactly."""
-    window = list(blocks[j:j + p])
-    for q in range(1, p):
-        if p % q or window != window[:q] * (p // q):
-            continue
-        m = intmat.identity(len(window[0]) + 1)
-        for b in window[:q]:
-            m = _times_step(m, b)
-        if projectively_equal(scalar_mat_vec(m, states[j].entries), states[j].entries):
-            return q
-    return p
-
-
 def detect_period(subject, max_preperiod=16, max_period=16):
     """Certified periodicity detection for exact vectors and expansions.
 
@@ -527,82 +566,38 @@ def detect_period(subject, max_preperiod=16, max_period=16):
     if isinstance(subject, Expansion):
         return _detect_period_expansion(subject, max_preperiod, max_period)
     vec = ScalarVector.coerce(subject)
+    if not vec[0].sign():  # zero, or an interval containing zero
+        raise NonPositiveState("cannot divide by the leading entry %r" % (vec[0],))
     depth_budget = max_preperiod + max_period
-    state = vec.normalized()
-    if _all_rational(state):
-        # a rational state never recurs: the integer heads strictly
-        # decrease and the unimodular steps keep the gcd of the vector
-        exp = _rational_expand(state, depth_budget)
-        if exp.tail.kind == TERMINATED:
-            return _terminated_verdict(exp, True)
-        return _aperiodic_verdict(depth_budget)
-    exact_entries = all(e.is_exact() for e in vec.entries)
-    states = [state]
-    blocks = []
-    for k in range(depth_budget):
-        try:
-            digits, nxt = jpa_step(state)
-        except IndeterminateFloor:
-            return PeriodVerdict(
-                kind="aperiodic_up_to",
-                depth=k,
-                certified=False,
-                note="floor became indeterminate; interval data exhausted",
-            )
-        blocks.append(digits)
-        if nxt is None:
-            residual = _terminal_residual(state, digits)
-            exp = Expansion(
-                rank=vec.rank,
-                blocks=tuple(blocks),
-                tail=Tail.terminated(),
-                theta=states[0],
-                states=tuple(states),
-                residual=residual,
-            )
-            return _terminated_verdict(exp, exact_entries)
-        if exact_entries:
-            j = _find_recurrence(states, nxt)
-            if j is not None:
-                p = _reduce_state_period(blocks, states, j, k + 1 - j)
-                period = tuple(blocks[j:j + p])
-                states_full = states + [nxt]
-                exp = Expansion(
-                    rank=vec.rank,
-                    blocks=tuple(blocks[:j + p]),
-                    tail=Tail.periodic(j, period),
-                    theta=states[0],
-                    states=tuple(states_full[:j + p + 1]),
-                    residual=None,
-                )
-                return PeriodVerdict(
-                    kind=PERIODIC,
-                    depth=k + 1,
-                    preperiod=j,
-                    period=period,
-                    certified=True,
-                    note="state recurrence certified exactly",
-                    expansion=exp,
-                )
-        state = nxt
-        states.append(state)
-    return _aperiodic_verdict(depth_budget)
-
-
-def _terminated_verdict(exp, certified):
-    return PeriodVerdict(
-        kind=TERMINATED,
-        depth=exp.depth,
-        certified=certified,
-        note="expansion terminated (rationally dependent input)",
-        expansion=exp,
-    )
-
-
-def _aperiodic_verdict(depth):
+    exp = _expand(vec.normalized(), 0, depth_budget)
+    if exp.tail.kind == TERMINATED:
+        return PeriodVerdict(
+            kind=TERMINATED,
+            depth=exp.depth,
+            certified=all(e.is_exact() for e in vec.entries),
+            note="expansion terminated (rationally dependent input)",
+            expansion=exp,
+        )
+    if exp.tail.kind == PERIODIC:
+        return PeriodVerdict(
+            kind=PERIODIC,
+            depth=exp.depth,
+            preperiod=exp.tail.preperiod,
+            period=exp.tail.period,
+            certified=True,
+            note="state recurrence certified exactly",
+            expansion=exp,
+        )
+    if exp.depth < depth_budget:
+        return PeriodVerdict(
+            kind="aperiodic_up_to",
+            depth=exp.depth,
+            certified=False,
+            note="floor became indeterminate; interval data exhausted",
+        )
     return PeriodVerdict(
         kind="aperiodic_up_to",
-        depth=depth,
+        depth=depth_budget,
         certified=False,
         note="no exact recurrence within the searched depth",
     )

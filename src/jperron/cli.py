@@ -15,11 +15,12 @@ from fractions import Fraction
 
 from . import bratteli as bratteli_mod
 from .cf import (
+    PERIODIC,
     Expansion,
-    detect_period,
+    Tail,
+    expand_certified,
     expansion_from_json,
     expansion_to_json,
-    jpa_expand,
 )
 from .errors import (
     BudgetExceeded,
@@ -148,22 +149,17 @@ def _expand_one(theta_obj, mode, depth, pre_budget, per_budget):
     theta = _theta_from_obj(theta_obj, mode)
     if depth < 0:
         raise MalformedInput("depth must be non-negative")
-    exact = all(e.is_exact() for e in theta.entries)
-    if exact and pre_budget > 0 and per_budget > 0:
-        verdict = detect_period(theta, pre_budget, per_budget)
-        if verdict.is_periodic:
-            certified = verdict.expansion
-            return Expansion(
-                rank=certified.rank,
-                blocks=tuple(certified.realize(max(depth, certified.depth))),
-                tail=certified.tail,
-                theta=certified.theta,
-            )
-        if verdict.kind == "terminated" and verdict.expansion is not None:
-            exp = verdict.expansion
-            if exp.depth <= depth:
-                return exp
-    return jpa_expand(theta, depth)
+    if min(pre_budget, per_budget) <= 0:
+        pre_budget = per_budget = 0  # a tail search needs both budgets
+    exp = expand_certified(theta, depth, pre_budget, per_budget)
+    if exp.tail.kind == PERIODIC:
+        blocks = exp.realize(max(depth, exp.depth))
+        return Expansion(exp.rank, tuple(blocks), exp.tail, theta=exp.theta)
+    if exp.depth > depth:
+        # terminated past the requested depth: print the requested prefix
+        tail = Tail.truncated()
+        return Expansion(exp.rank, exp.blocks[:depth], tail, theta=exp.theta)
+    return exp
 
 
 def _expand_job(payload):

@@ -26,8 +26,8 @@ from .cf import (
     Tail,
     canonical_periodic,
     detect_period,
+    expand_certified,
     expansion_from_json,
-    jpa_expand,
     prefix_product,
     projectively_equal,
     scalar_mat_vec,
@@ -240,9 +240,7 @@ def _common_tail_bounded(exps, depth_budget):
     raise NoCommonTail("no joint alignment within budget %d" % depth_budget)
 
 
-def prefix_matrix(exp, prefix_len):
-    """Product of the first ``prefix_len`` step matrices of the stream."""
-    return prefix_product(exp, prefix_len)
+prefix_matrix = prefix_product
 
 
 @dataclass(frozen=True)
@@ -318,14 +316,6 @@ class Representation:
         return self.matrices[name]
 
 
-def _expand_tagged(vec, depth_budget):
-    """Expansion with a certified tail tag when one is found in budget."""
-    verdict = detect_period(vec, depth_budget, depth_budget)
-    if verdict.expansion is not None:
-        return verdict.expansion
-    return jpa_expand(vec, depth_budget)
-
-
 def _reconstruction_entries(names, matrices, offsets, exps, images, theta, theta_max):
     entries = []
     for name in names:
@@ -389,7 +379,7 @@ def build_representation(theta, actions, depth_budget=24):
             raise MalformedInput("duplicate generator name %r" % a.name)
         names.append(a.name)
 
-    exp_theta = _expand_tagged(base, depth_budget)
+    exp_theta = expand_certified(base, depth_budget, depth_budget, depth_budget)
     exps = {}
     images = {}
     supplied = {}
@@ -407,7 +397,9 @@ def build_representation(theta, actions, depth_budget=24):
                     "generator %r maps theta outside the positive cone" % a.name
                 )
             img_vec = img_vec.normalized()
-            exps[a.name] = _expand_tagged(img_vec, depth_budget)
+            exps[a.name] = expand_certified(
+                img_vec, depth_budget, depth_budget, depth_budget
+            )
             images[a.name] = img_vec
             supplied[a.name] = a.matrix
         else:

@@ -5,6 +5,18 @@ from fractions import Fraction
 import pytest
 
 from jperron import polynomials as poly
+from jperron.bratteli import TailDecision
+from jperron.cf import (
+    PERIODIC,
+    TERMINATED,
+    TRUNCATED,
+    Expansion,
+    canonical_periodic,
+    detect_period,
+    jpa_expand,
+)
+from jperron.cli import _theta_from_obj
+from jperron.errors import MalformedInput, RankMismatch
 from jperron.intmat import identity, mat_mul
 from jperron.scalars import ScalarVector, algebraic, rational
 
@@ -55,3 +67,160 @@ def fraction_extended_gcd(p, q):
         return poly.ZERO, poly.ZERO, poly.ZERO
     inv = 1 / Fraction(a[-1])
     return poly.scale(a, inv), poly.scale(ua, inv), poly.scale(va, inv)
+
+
+# ---------------------------------------------------------------- references
+# ``bratteli.tail_equivalent`` is the two-stream case of
+# ``representation.common_tail``, and ``cli._expand_one`` and
+# ``build_representation`` make one ``cf.expand_certified`` expansion.
+# The functions below decide and expand on their own, as the library did
+# before, and serve as oracles for both.
+
+
+def _reference_stream(exp):
+    if exp.tail.kind == PERIODIC:
+        pre, per = canonical_periodic(exp.blocks[:exp.tail.preperiod], exp.tail.period)
+        return list(pre), list(per)
+    return list(exp.blocks), None
+
+
+def _reference_block(pre, per, i):
+    if i < len(pre):
+        return pre[i]
+    return per[(i - len(pre)) % len(per)]
+
+
+def _reference_rotation(period, target):
+    for r in range(len(period)):
+        if tuple(period[r:] + period[:r]) == tuple(target):
+            return r
+    return None
+
+
+def reference_tail_equivalent(e1, e2, depth_budget=16):
+    """The two-stream tail decision ``bratteli.tail_equivalent`` made on
+    its own: exact for terminated and periodic pairs, a bounded offset
+    search when either stream is truncated."""
+    if e1.rank != e2.rank:
+        raise RankMismatch("ranks %d and %d differ" % (e1.rank, e2.rank))
+    k1, k2 = e1.tail.kind, e2.tail.kind
+    if TRUNCATED in (k1, k2):
+        return _reference_truncated(e1, e2, depth_budget)
+    if k1 != k2:
+        return TailDecision(
+            TailDecision.NOT_EQUIVALENT,
+            certified=True,
+            note="a finite stream shares no tail with an infinite one",
+        )
+    if k1 == TERMINATED:
+        b1, b2 = list(e1.blocks), list(e2.blocks)
+        s = 0
+        while s < min(len(b1), len(b2)) and b1[-1 - s] == b2[-1 - s]:
+            s += 1
+        return TailDecision(
+            TailDecision.EQUIVALENT,
+            offsets=(len(b1) - s, len(b2) - s),
+            compared_depth=s,
+            certified=True,
+            note="finite streams; longest common suffix has %d blocks" % s,
+        )
+    pre1, per1 = _reference_stream(e1)
+    pre2, per2 = _reference_stream(e2)
+    if len(per1) != len(per2):
+        return TailDecision(
+            TailDecision.NOT_EQUIVALENT,
+            certified=True,
+            note="primitive periods have different lengths",
+        )
+    r = _reference_rotation(per2, per1)
+    if r is None:
+        return TailDecision(
+            TailDecision.NOT_EQUIVALENT,
+            certified=True,
+            note="primitive periods differ under all rotations",
+        )
+    length = len(per1)
+    best = None
+    for t in range(length):
+        p = len(pre1) + t
+        q = len(pre2) + ((r + t) % length)
+        while p > 0 and q > 0 and (
+            _reference_block(pre1, per1, p - 1) == _reference_block(pre2, per2, q - 1)
+        ):
+            p -= 1
+            q -= 1
+        if best is None or (p + q, p) < (best[0] + best[1], best[0]):
+            best = (p, q)
+    return TailDecision(
+        TailDecision.EQUIVALENT,
+        offsets=best,
+        certified=True,
+        note="periodic streams aligned exactly",
+    )
+
+
+def _reference_truncated(e1, e2, depth_budget):
+    need = max(e1.depth, e2.depth) + depth_budget
+    b1 = e1.realize(need)
+    b2 = e2.realize(need)
+    best = None
+    for total in range(0, 2 * depth_budget + 1):
+        for p in range(0, min(total, depth_budget) + 1):
+            q = total - p
+            if q > depth_budget or p > len(b1) or q > len(b2):
+                continue
+            overlap = min(len(b1) - p, len(b2) - q)
+            if overlap < 1:
+                continue
+            if b1[p:p + overlap] == b2[q:q + overlap]:
+                best = (p, q, overlap)
+                break
+        if best:
+            break
+    if best:
+        p, q, overlap = best
+        return TailDecision(
+            TailDecision.INCONCLUSIVE,
+            offsets=(p, q),
+            compared_depth=overlap,
+            certified=False,
+            note="truncated data: streams agree at all %d compared depths" % overlap,
+        )
+    return TailDecision(
+        TailDecision.INCONCLUSIVE,
+        compared_depth=0,
+        certified=False,
+        note="truncated data: no alignment within offset budget %d" % depth_budget,
+    )
+
+
+def reference_expand_tagged(vec, depth_budget):
+    """Period search, then a fresh expansion when none is certified."""
+    verdict = detect_period(vec, depth_budget, depth_budget)
+    if verdict.expansion is not None:
+        return verdict.expansion
+    return jpa_expand(vec, depth_budget)
+
+
+def reference_expand_one(theta_obj, mode, depth, pre_budget, per_budget):
+    """``jperron expand`` of one vector as a period search followed by a
+    fresh expansion; the input must be strictly positive."""
+    theta = _theta_from_obj(theta_obj, mode)
+    if depth < 0:
+        raise MalformedInput("depth must be non-negative")
+    exact = all(e.is_exact() for e in theta.entries)
+    if exact and pre_budget > 0 and per_budget > 0:
+        verdict = detect_period(theta, pre_budget, per_budget)
+        if verdict.is_periodic:
+            certified = verdict.expansion
+            return Expansion(
+                rank=certified.rank,
+                blocks=tuple(certified.realize(max(depth, certified.depth))),
+                tail=certified.tail,
+                theta=certified.theta,
+            )
+        if verdict.kind == "terminated" and verdict.expansion is not None:
+            exp = verdict.expansion
+            if exp.depth <= depth:
+                return exp
+    return jpa_expand(theta, depth)

@@ -1,9 +1,10 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from conftest import rng_for
+from conftest import reference_tail_equivalent, rng_for
 from jperron.bratteli import (
     build_diagram,
     diagram_from_json,
@@ -189,6 +190,37 @@ def test_tail_equivalence_relation_laws():
         ).isdisjoint(_rotations(period)):
             e4 = periodic_exp([], other, rank)
             assert tail_equivalent(e1, e4).verdict == "not_equivalent"
+
+
+def _random_stream(rng, rank, kind, body, core):
+    prefix = [random_block(rng, rank, hi=2) for _ in range(rng.randint(0, 5))]
+    if kind == "periodic":
+        shift = rng.randrange(len(core))
+        return periodic_exp(prefix + body, core[shift:] + core[:shift], rank)
+    blocks = prefix + body + list(core) * rng.randint(0, 3)
+    tail = Tail.terminated() if kind == "terminated" else Tail.truncated()
+    return Expansion(rank=rank, blocks=tuple(blocks), tail=tail)
+
+
+def test_tail_equivalent_matches_two_stream_reference():
+    # streams share a body and a period after random prefixes; the small
+    # digit alphabet makes spurious and partial agreements common
+    rng = rng_for("tail-equivalent-reference")
+    kinds = ("terminated", "truncated", "periodic")
+    seen = set()
+    for _ in range(3000):
+        rank = rng.randint(2, 3)
+        body = [random_block(rng, rank, hi=1) for _ in range(rng.randint(0, 6))]
+        core = list(random_primitive_period(rng, rank, max_len=3))
+        e1 = _random_stream(rng, rank, rng.choice(kinds), body, core)
+        if rng.random() < 0.25:
+            core = list(random_primitive_period(rng, rank, max_len=3))
+        e2 = _random_stream(rng, rank, rng.choice(kinds), body, core)
+        budget = rng.randint(0, 16)
+        d = tail_equivalent(e1, e2, budget)
+        assert d == reference_tail_equivalent(e1, e2, budget)
+        seen.add(re.sub(r"\d+", "N", d.note))
+    assert len(seen) == 7  # every kind of decision was reached
 
 
 def _rotations(period):

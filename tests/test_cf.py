@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_positive_fraction, rng_for, tribonacci_vector
+from conftest import (
+    random_positive_fraction,
+    reference_expand_tagged,
+    rng_for,
+    tribonacci_vector,
+)
 from jperron import cf as cf_module
 from jperron import intmat
 from jperron import polynomials as poly
@@ -15,6 +20,7 @@ from jperron.cf import (
     detect_period,
     euclid_chain,
     euclid_gcd,
+    expand_certified,
     expansion_from_json,
     expansion_to_json,
     jpa_expand,
@@ -647,6 +653,96 @@ def test_detect_period_rational_matches_scalar_loop_random():
 def test_detect_period_rejects_negative_rational_entries():
     with pytest.raises(NonPositiveState):
         detect_period(ScalarVector([1, Fraction(-1, 2)]), 1, 1)
+
+
+def test_detect_period_stops_where_interval_data_runs_out():
+    theta = ScalarVector([1, interval(Fraction(141, 100), Fraction(142, 100))])
+    steps = 0
+    while True:
+        try:
+            jpa_expand(theta, steps + 1)
+        except IndeterminateFloor:
+            break
+        steps += 1
+    verdict = detect_period(theta, 8, 8)
+    assert (verdict.kind, verdict.depth, verdict.certified) == (
+        "aperiodic_up_to", steps, False
+    )
+    assert verdict.note == "floor became indeterminate; interval data exhausted"
+
+
+def test_detect_period_rejects_a_zero_leading_entry():
+    # dividing by the head used to raise ZeroDivisionError
+    for theta in ([0, 1], [rational(0), golden()], [interval(-1, 1), 1]):
+        with pytest.raises(NonPositiveState):
+            detect_period(ScalarVector(theta), 4, 4)
+
+
+# ---------------------------------------------------------------- certified expansion
+
+
+def _quartic():
+    g = algebraic([-2, 0, 0, 0, 1], 1, 2)
+    return ScalarVector([rational(1), g, g * g, g * g * g])
+
+
+def _certified_inputs():
+    rng = rng_for("expand-certified")
+    out = [ScalarVector(_random_rational_vector(rng, rank, 8)) for rank in (2, 3, 4)]
+    out.append(ScalarVector([1, Fraction(10946, 6765)]))
+    t = tribonacci_vector()
+    out.append(t)
+    shifted = scalar_mat_vec(step_matrix((3, 4)), t.entries)
+    out.append(ScalarVector(shifted).normalized())
+    for c in (3, 5):
+        g = algebraic([-c, 0, 0, 1], 1, 2)
+        out.append(ScalarVector([rational(1), g, g * g]))
+    out.append(_quartic())
+    return out
+
+
+def test_expand_certified_matches_search_then_expand():
+    # build_representation's call: depth and both budgets equal
+    for theta in _certified_inputs():
+        for budget in range(9):
+            got = expand_certified(theta, budget, budget, budget)
+            assert got == reference_expand_tagged(theta, budget)
+            # a terminated expansion has no state after its last block
+            after_last = got.tail.kind != "terminated"
+            assert len(got.states) == got.depth + after_last
+
+
+def test_expand_certified_expands_once(monkeypatch):
+    # no period within the budget: the search steps are reused, not redone
+    calls = []
+    step = cf_module.jpa_step
+
+    def counting(state):
+        calls.append(state)
+        return step(state)
+
+    monkeypatch.setattr(cf_module, "jpa_step", counting)
+    theta = _quartic()
+    for depth, pre, per in ((6, 4, 4), (12, 4, 4), (0, 3, 2), (5, 0, 0)):
+        calls.clear()
+        exp = expand_certified(theta, depth, pre, per)
+        assert exp.depth == depth and exp.tail.kind == "truncated"
+        assert len(calls) == max(depth, pre + per)
+        assert exp == jpa_expand(theta, depth)
+
+
+def test_expand_certified_rejects_non_positive_input():
+    for theta in ([1, 0], [1, Fraction(1, 2), 0], [0, 1], [1, -1]):
+        with pytest.raises(NonPositiveState):
+            expand_certified(ScalarVector(theta), 4, 4, 4)
+
+
+def test_expand_certified_interval_input_is_not_searched():
+    theta = ScalarVector([1, interval(Fraction(141, 100), Fraction(142, 100))])
+    # interval scalars have no exact equality: compare their endpoints
+    assert repr(expand_certified(theta, 1, 8, 8)) == repr(jpa_expand(theta, 1))
+    with pytest.raises(IndeterminateFloor):
+        expand_certified(theta, 64, 8, 8)
 
 
 # ---------------------------------------------------------------- step products

@@ -4,11 +4,11 @@ import sys
 
 import pytest
 
-from conftest import tribonacci_vector
+from conftest import reference_expand_one, rng_for, tribonacci_vector
 from jperron import cli
 from jperron.cf import Expansion, Tail, expansion_to_json
-from jperron.errors import MalformedInput
-from jperron.scalars import vector_to_json
+from jperron.errors import JperronError, MalformedInput
+from jperron.scalars import ScalarVector, algebraic, rational, vector_to_json
 
 RATIONAL_THETA = '[["rat",[1,1]],["rat",[7,5]],["rat",[11,5]]]'
 # the bound on decimal exponents is the one int() puts on decimal digits
@@ -331,3 +331,67 @@ def test_unprintable_text_report_is_a_json_error(digit_limit, capsys):
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "error" and "cannot print" in payload["message"]
+
+
+@pytest.mark.parametrize("theta", ["[1, 0]", "[1, 0, 1]", "[1, 0.5, 0]", "[0, 1]"])
+@pytest.mark.parametrize("flags", [[], ["--budget-period", "0"]])
+def test_expand_rejects_non_positive_input(theta, flags, capsys):
+    # the period search used to accept zero entries, and a zero head
+    # raised ZeroDivisionError; positivity no longer depends on the budget
+    code = cli.main(["expand", "--theta", theta, *flags])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "error"
+    assert payload["message"] == "input vector must be strictly positive"
+
+
+def _expand_inputs():
+    """(JSON theta, mode) at ranks 2-4: rational, algebraic, interval."""
+    rng = rng_for("cli-expand-reference")
+    out = [
+        (["%d/%d" % (rng.randint(1, 400), rng.randint(1, 400)) for _ in range(rank)],
+         "rational")
+        for rank in (2, 3, 4)
+        for _ in range(3)
+    ]
+    out.append((["1", "10946/6765"], "rational"))  # terminates after 20 steps
+    out.append((vector_to_json(tribonacci_vector()), "algebraic"))
+    r2 = algebraic([-2, 0, 1], 1, 2)
+    # cube roots of 3 and 5: periodic from step 2 and from step 7; the
+    # fourth root of 2: no period within these budgets
+    c3, c5 = (algebraic([-c, 0, 0, 1], 1, 2) for c in (3, 5))
+    q = algebraic([-2, 0, 0, 0, 1], 1, 2)
+    for entries in ([r2], [c3, c3 * c3], [c5, c5 * c5], [q, q * q, q * q * q]):
+        theta = vector_to_json(ScalarVector([rational(1), *entries]))
+        out.append((theta, "algebraic"))
+    out.append((["1", "1.4", "2.2"], "interval"))
+    out.append((["1", "10946/6765"], "interval"))
+    out.append(([1, {"ivl": {"lo": [14142, 10000], "hi": [14143, 10000]}}], "interval"))
+    out.append(([1, {"ivl": {"lo": [12, 10], "hi": [13, 10]}}, "1.9"], "interval"))
+    # the second state has an entry of uncertain sign
+    out.append(([1, "1.5", {"ivl": {"lo": [2, 1], "hi": [5, 2]}}], "interval"))
+    return out
+
+
+def _expand_outcome(fn, theta, mode, depth, pre, per):
+    try:
+        return expansion_to_json(fn(theta, mode, depth, pre, per))
+    except JperronError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_expand_matches_search_then_expand_reference():
+    # depths below, at and above pre + per, and budgets with a zero side
+    budgets = [(0, 0), (0, 8), (8, 0), (2, 2), (4, 4), (8, 8)]
+    kinds = set()
+    for theta, mode in _expand_inputs():
+        for pre, per in budgets:
+            for depth in (0, 1, 4, 8, 16, 20):
+                args = theta, mode, depth, pre, per
+                got = _expand_outcome(cli._expand_one, *args)
+                assert got == _expand_outcome(reference_expand_one, *args), args
+                kinds.add(got[0] if isinstance(got, tuple) else got["tail"]["kind"])
+    assert kinds == {
+        "terminated", "truncated", "periodic", "IndeterminateFloor", "NonPositiveState"
+    }
