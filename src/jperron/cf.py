@@ -300,7 +300,7 @@ def _positive_state(theta):
     return vec.normalized()
 
 
-def _expand(state, depth, search=0, keep_states=True):
+def _expand(state, depth, search=0, keep_states=True, prefix=None):
     """The Jacobi-Perron loop from a normalized state, for ``jpa_expand``,
     ``detect_period`` and ``expand_certified``.
 
@@ -308,30 +308,38 @@ def _expand(state, depth, search=0, keep_states=True):
     rational state runs in integers.  In the first ``search`` steps an
     exact state that recurs stops it with a certified periodic tail.  An
     indeterminate floor is raised within the first ``depth`` steps; after
-    them it stops the loop, leaving a truncated tail.
+    them it stops the loop, leaving a truncated tail.  ``prefix``, an
+    expansion already stepped from ``state`` with its states, is replayed
+    block by block and searched as if stepped again; ``jpa_step`` runs only
+    past it.  A rational state needs no search, so its kernel starts over.
     """
     if _all_rational(state):
         # a rational state never recurs: the integer heads strictly
         # decrease and the unimodular steps keep the gcd of the vector
         return _rational_expand(state, max(depth, search), keep_states)
     exact = all(e.is_exact() for e in state.entries)
+    replay = 0 if prefix is None else min(len(prefix.blocks), len(prefix.states) - 1)
     states = [state]
+    boxes = [_box(state)] if exact and search else None
     blocks = []
     tail = Tail.truncated()
     residual = None
     for k in range(max(depth, search)):
-        try:
-            digits, nxt = jpa_step(state)
-        except IndeterminateFloor:
-            if k < depth:
-                raise
-            break
+        if k < replay:
+            digits, nxt = prefix.blocks[k], prefix.states[k + 1]
+        else:
+            try:
+                digits, nxt = jpa_step(state)
+            except IndeterminateFloor:
+                if k < depth:
+                    raise
+                break
         blocks.append(digits)
         if nxt is None:
             tail = Tail.terminated()
             residual = _terminal_residual(state, digits)
             break
-        j = _find_recurrence(states, nxt) if exact and k < search else None
+        j = _find_recurrence(states, boxes, nxt) if exact and k < search else None
         state = nxt
         states.append(state)
         if j is not None:
@@ -365,18 +373,24 @@ def expand_certified(theta, depth, max_preperiod, max_period):
     with their states and a truncated tail, as ``jpa_expand`` gives them.
     Interval input is not searched and expands to ``depth``.
     """
+    return _certified_run(theta, depth, max_preperiod, max_period)[0]
+
+
+def _certified_run(theta, depth, max_preperiod, max_period):
+    """(``expand_certified`` result, the whole run it was cut from)."""
     state = _positive_state(theta)
     exact = all(e.is_exact() for e in state.entries)
-    exp = _expand(state, depth, max_preperiod + max_period if exact else 0)
-    if exp.tail.kind != TRUNCATED or exp.depth <= depth:
-        return exp
-    return Expansion(
-        rank=exp.rank,
-        blocks=exp.blocks[:depth],
-        tail=exp.tail,
-        theta=exp.theta,
-        states=exp.states[:depth + 1],
+    run = _expand(state, depth, max_preperiod + max_period if exact else 0)
+    if run.tail.kind != TRUNCATED or run.depth <= depth:
+        return run, run
+    exp = Expansion(
+        rank=run.rank,
+        blocks=run.blocks[:depth],
+        tail=run.tail,
+        theta=run.theta,
+        states=run.states[:depth + 1],
     )
+    return exp, run
 
 
 def regular_cf(x, max_depth):
@@ -545,12 +559,55 @@ class PeriodVerdict:
         return self.kind == PERIODIC
 
 
-def _find_recurrence(states, candidate):
+def _box(state):
+    """The state's coordinate enclosures, as outward-rounded floats.
+
+    No field is refined: a box read at an older, wider field enclosure
+    still contains the coordinate.  The coordinates are taken last first,
+    so the leading 1 of a normalized state, which never tells two states
+    apart, is looked at last.
+    """
+    return tuple(_outward(*x.enclosure()) for x in reversed(state.entries))
+
+
+def _outward(lo, hi):
+    # float() of a Fraction rounds to nearest, so one ulp outward encloses
+    try:
+        return math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf)
+    except OverflowError:
+        return -math.inf, math.inf
+
+
+def _disjoint(a, b):
+    for (alo, ahi), (blo, bhi) in zip(a, b):
+        if ahi < blo or bhi < alo:
+            return True
+    return False
+
+
+def _find_recurrence(states, boxes, candidate):
+    """Index of the first state in ``states`` equal to ``candidate``, or None;
+    the candidate's box is appended to ``boxes``.
+
+    A state whose box misses the candidate's in some coordinate cannot
+    equal it.  A box that meets the candidate's is read again, at the
+    field's current enclosure (a box stored early is wide), and the exact
+    ``compare`` runs only if they still meet.  The reduced coordinates are
+    never compared as data: over a reducible modulus equal values can be
+    stored differently.
+    """
+    cand = _box(candidate)
     for j, st in enumerate(states):
+        if _disjoint(boxes[j], cand):
+            continue
+        boxes[j] = _box(st)
+        if _disjoint(boxes[j], cand):
+            continue
         if all(
             compare(a, b) is Ordering.EQ for a, b in zip(st.entries, candidate.entries)
         ):
             return j
+    boxes.append(cand)
     return None
 
 
@@ -561,20 +618,28 @@ def detect_period(subject, max_preperiod=16, max_period=16):
     recurrence of the expansion state, which also certifies the primitive
     period.  Terminated means the input was rationally dependent.  When
     nothing recurs within the searched depth the verdict is an honest
-    "aperiodic up to depth", never a certificate.
+    "aperiodic up to depth", never a certificate.  A truncated expansion
+    with exact ``theta`` gets the verdict of its ``theta``; when it holds
+    the states stepped from ``theta`` (``states[0] is theta``), the search
+    extends them instead of expanding ``theta`` again.
     """
     if isinstance(subject, Expansion):
         return _detect_period_expansion(subject, max_preperiod, max_period)
     vec = ScalarVector.coerce(subject)
     if not vec[0].sign():  # zero, or an interval containing zero
         raise NonPositiveState("cannot divide by the leading entry %r" % (vec[0],))
-    depth_budget = max_preperiod + max_period
-    exp = _expand(vec.normalized(), 0, depth_budget)
+    return _period_verdict(vec.normalized(), max_preperiod + max_period)
+
+
+def _period_verdict(state, depth_budget, prefix=None):
+    """The verdict of a ``depth_budget``-step search from a normalized
+    state, extending ``prefix`` (see ``_expand``) when given."""
+    exp = _expand(state, 0, depth_budget, prefix=prefix)
     if exp.tail.kind == TERMINATED:
         return PeriodVerdict(
             kind=TERMINATED,
             depth=exp.depth,
-            certified=all(e.is_exact() for e in vec.entries),
+            certified=all(e.is_exact() for e in state.entries),
             note="expansion terminated (rationally dependent input)",
             expansion=exp,
         )
@@ -626,6 +691,8 @@ def _detect_period_expansion(exp, max_preperiod, max_period):
             expansion=exp,
         )
     if exp.theta is not None and all(e.is_exact() for e in exp.theta):
+        if exp.states and exp.states[0] is exp.theta:
+            return _period_verdict(exp.theta, max_preperiod + max_period, prefix=exp)
         return detect_period(exp.theta, max_preperiod, max_period)
     return PeriodVerdict(
         kind="aperiodic_up_to",

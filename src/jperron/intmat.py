@@ -4,8 +4,6 @@ inverses and the row Hermite normal form with its transform.
 Matrices are lists of lists of Python ints; nothing here ever rounds.
 """
 
-from fractions import Fraction
-
 from .errors import NotUnimodular
 
 
@@ -79,22 +77,13 @@ def check_unimodular(a):
 
 
 def inverse_unimodular(a):
-    """Exact inverse of a matrix with determinant +-1; stays integral."""
+    """Exact inverse of a matrix with determinant +-1, in integers.
+
+    The Hermite normal form of a unimodular matrix is the identity, so its
+    transform U, with U*A = I, is the inverse.
+    """
     check_unimodular(a)
-    n = len(a)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if work[i][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    inv = [[int(work[i][n + j]) for j in range(n)] for i in range(n)]
-    return inv
+    return hnf(a)[1]
 
 
 def mat_pow(a, k):

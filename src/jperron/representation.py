@@ -24,6 +24,7 @@ from .cf import (
     TRUNCATED,
     Expansion,
     Tail,
+    _certified_run,
     canonical_periodic,
     detect_period,
     expand_certified,
@@ -309,6 +310,9 @@ class Representation:
     certification: str
     alignment: TailAlignment
     report: VerificationReport
+    # the whole base run the period search stepped through, of which
+    # base_expansion keeps the first depth_budget blocks; verify extends it
+    base_run: Optional[Expansion] = None
 
     def matrix(self, name):
         if name not in self.matrices:
@@ -379,7 +383,7 @@ def build_representation(theta, actions, depth_budget=24):
             raise MalformedInput("duplicate generator name %r" % a.name)
         names.append(a.name)
 
-    exp_theta = expand_certified(base, depth_budget, depth_budget, depth_budget)
+    exp_theta, base_run = _certified_run(base, depth_budget, depth_budget, depth_budget)
     exps = {}
     images = {}
     supplied = {}
@@ -459,6 +463,7 @@ def build_representation(theta, actions, depth_budget=24):
         certification=alignment.certification,
         alignment=alignment,
         report=report,
+        base_run=base_run,
     )
 
 
@@ -474,6 +479,26 @@ def evaluate_word(rep, word):
     return out
 
 
+def _tail_subject(rep):
+    """What ``verify`` hands to ``detect_period``: the stored base run from
+    ``theta_offset`` on, as a truncated expansion of ``theta_max`` with its
+    states, or ``theta_max`` itself when the representation holds no run,
+    or one that ``base_expansion`` was not cut from.  ``detect_period``
+    extends the states only if they start at the very object
+    ``theta_max``, so a representation edited with ``dataclasses.replace``
+    is otherwise searched from scratch."""
+    run, t = rep.base_run, rep.theta_offset
+    if run is None or run.states is None or run.theta is not rep.base_expansion.theta:
+        return rep.theta_max
+    return Expansion(
+        rank=run.rank,
+        blocks=run.blocks[t:len(run.states) - 1],
+        tail=Tail.truncated(),
+        theta=rep.theta_max,
+        states=run.states[t:],
+    )
+
+
 def verify(rep, relations=(), aperiodicity_budget=16):
     """Audit a representation and return the full report.
 
@@ -484,6 +509,12 @@ def verify(rep, relations=(), aperiodicity_budget=16):
     on the tail vector, and the free-action bookkeeping for generators
     whose image equals the tail vector.  Nothing is assumed: every failed
     check lands in the report.
+
+    The periodicity search on the tail vector extends the base run that
+    ``build_representation`` already searched (its states from
+    ``theta_offset`` on are replayed, not recomputed), and restarts from
+    ``theta_max`` when the representation no longer holds that run; the
+    verdict is the same either way.
     """
     ident = intmat.identity(rep.rank)
     names = list(rep.matrices)
@@ -526,7 +557,7 @@ def verify(rep, relations=(), aperiodicity_budget=16):
         hypotheses_ok = False
     else:
         verdict = detect_period(
-            rep.theta_max, aperiodicity_budget, aperiodicity_budget
+            _tail_subject(rep), aperiodicity_budget, aperiodicity_budget
         )
         if verdict.is_periodic:
             stationary = True

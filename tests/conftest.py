@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import zlib
 from fractions import Fraction
@@ -11,14 +12,18 @@ from jperron.cf import (
     TERMINATED,
     TRUNCATED,
     Expansion,
+    PeriodVerdict,
+    Tail,
     canonical_periodic,
     detect_period,
     jpa_expand,
+    jpa_step,
 )
 from jperron.cli import _theta_from_obj
 from jperron.errors import MalformedInput, RankMismatch
-from jperron.intmat import identity, mat_mul
-from jperron.scalars import ScalarVector, algebraic, rational
+from jperron.intmat import check_unimodular, identity, mat_mul
+from jperron.representation import verify
+from jperron.scalars import Ordering, ScalarVector, algebraic, compare, rational
 
 
 def tribonacci_vector():
@@ -67,6 +72,126 @@ def fraction_extended_gcd(p, q):
         return poly.ZERO, poly.ZERO, poly.ZERO
     inv = 1 / Fraction(a[-1])
     return poly.scale(a, inv), poly.scale(ua, inv), poly.scale(va, inv)
+
+
+def fraction_inverse_unimodular(a):
+    """Gauss-Jordan over Q with Fraction entries: the oracle for
+    ``intmat.inverse_unimodular``, which runs in integers."""
+    check_unimodular(a)
+    n = len(a)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if work[i][col] != 0)
+        work[col], work[pivot] = work[pivot], work[col]
+        pv = work[col][col]
+        work[col] = [x / pv for x in work[col]]
+        for i in range(n):
+            if i != col and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
+    return [[int(work[i][n + j]) for j in range(n)] for i in range(n)]
+
+
+# ------------------------------------------------------- recurrence search
+# ``cf._expand`` looks for a recurring state through enclosure filters and
+# can resume a stored run.  The functions below step every state with
+# ``jpa_step`` and compare each new state exactly with every earlier one,
+# as the library did before, and serve as oracles for both.
+
+
+def reference_find_recurrence(states, candidate):
+    """First index of a state equal to ``candidate``, by exact compares."""
+    for j, st in enumerate(states):
+        if all(
+            compare(a, b) is Ordering.EQ for a, b in zip(st.entries, candidate.entries)
+        ):
+            return j
+    return None
+
+
+def reference_expand(state, depth, search):
+    """The Jacobi-Perron loop from a normalized state, searched for exact
+    recurrence in its first ``search`` steps."""
+    exact = all(e.is_exact() for e in state.entries)
+    states = [state]
+    blocks = []
+    tail = Tail.truncated()
+    residual = None
+    for k in range(max(depth, search)):
+        digits, nxt = jpa_step(state)
+        blocks.append(digits)
+        if nxt is None:
+            tail = Tail.terminated()
+            fracs = [x - b for x, b in zip(state.entries[1:], digits)]
+            residual = tuple(fracs + [rational(1)])
+            break
+        j = reference_find_recurrence(states, nxt) if exact and k < search else None
+        state = nxt
+        states.append(state)
+        if j is not None:
+            tail = Tail.periodic(j, blocks[j:])
+            break
+    return Expansion(
+        rank=state.rank,
+        blocks=tuple(blocks),
+        tail=tail,
+        theta=states[0],
+        states=tuple(states),
+        residual=residual,
+    )
+
+
+def reference_detect_period(theta, max_preperiod, max_period):
+    """``detect_period`` of an exact positive vector over ``reference_expand``."""
+    budget = max_preperiod + max_period
+    exp = reference_expand(ScalarVector.coerce(theta).normalized(), 0, budget)
+    if exp.tail.kind == TERMINATED:
+        return PeriodVerdict(
+            TERMINATED,
+            exp.depth,
+            certified=True,
+            note="expansion terminated (rationally dependent input)",
+        )
+    if exp.tail.kind == PERIODIC:
+        return PeriodVerdict(
+            PERIODIC,
+            exp.depth,
+            exp.tail.preperiod,
+            exp.tail.period,
+            certified=True,
+            note="state recurrence certified exactly",
+        )
+    return PeriodVerdict(
+        "aperiodic_up_to",
+        budget,
+        certified=False,
+        note="no exact recurrence within the searched depth",
+    )
+
+
+def reference_expand_certified(theta, depth, max_preperiod, max_period):
+    """``expand_certified`` of an exact positive vector over ``reference_expand``."""
+    exp = reference_expand(
+        ScalarVector.coerce(theta).normalized(), depth, max_preperiod + max_period
+    )
+    if exp.tail.kind != TRUNCATED or exp.depth <= depth:
+        return exp
+    return Expansion(
+        rank=exp.rank,
+        blocks=exp.blocks[:depth],
+        tail=exp.tail,
+        theta=exp.theta,
+        states=exp.states[:depth + 1],
+    )
+
+
+def reference_verify(rep, relations=(), aperiodicity_budget=16):
+    """``verify`` with the periodicity search run from scratch on
+    ``rep.theta_max`` (the representation keeps no base run to extend)."""
+    return verify(
+        dataclasses.replace(rep, base_run=None), relations, aperiodicity_budget
+    )
 
 
 # ---------------------------------------------------------------- references

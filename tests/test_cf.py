@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,6 +6,8 @@ import pytest
 
 from conftest import (
     random_positive_fraction,
+    reference_detect_period,
+    reference_expand_certified,
     reference_expand_tagged,
     rng_for,
     tribonacci_vector,
@@ -872,3 +875,104 @@ def test_algebraic_expansion_inverts_once_per_step(monkeypatch):
     e = jpa_expand(theta, 48)
     assert e.depth == 48 and e.tail.kind == "truncated"
     assert counts == {"extended_gcd": 48, "jpa_step": 48}
+
+
+# ---------------------------------------------------------------- recurrence filter
+
+
+def _aperiodic_cubic():
+    """(1, (1+g)/3, (5+2g^2)/7) for g^3 = 7: no state recurs."""
+    g = algebraic([-7, 0, 0, 1], 1, 2)
+    return ScalarVector([rational(1), (1 + g) / 3, (5 + 2 * g * g) / 7])
+
+
+def _recurrence_inputs():
+    """Periodic, aperiodic and terminating vectors, over irreducible moduli
+    and over the reducible (x^2 - 2)(x - 3), whose reduced coordinates are
+    not canonical: equal states there can be stored differently."""
+    out = [tribonacci_vector(), _aperiodic_cubic(), _quartic()]
+    for c in (3, 7):
+        g = algebraic([-c, 0, 0, 1], 1, 2)
+        out.append(ScalarVector([rational(1), g, g * g]))
+    s2 = algebraic([-2, 0, 1], 1, 2)
+    out.append(ScalarVector([rational(1), s2]))
+    out.append(ScalarVector([rational(1), s2, (1 + s2) / 3]))
+    reducible = [6, -2, -3, 1]
+    r = algebraic(reducible, 1, 2)  # sqrt 2
+    out.append(ScalarVector([rational(1), r]))
+    out.append(ScalarVector([rational(1), r, r * r + r - 2]))
+    out.append(ScalarVector([rational(1), r + 1, (r * r * r - r) / 3]))
+    three = algebraic(reducible, Fraction(5, 2), Fraction(7, 2))  # exactly 3
+    out.append(ScalarVector([rational(1), three / 2, three * three / 5]))
+    return out
+
+
+def _verdict_fields(v):
+    return v.kind, v.depth, v.preperiod, v.period, v.certified, v.note
+
+
+def test_detect_period_matches_all_pairs_reference():
+    kinds = set()
+    for theta in _recurrence_inputs():
+        for pre, per in [(b, b) for b in range(17)] + [(0, 5), (5, 0), (3, 16)]:
+            got = detect_period(theta, pre, per)
+            want = reference_detect_period(theta, pre, per)
+            assert _verdict_fields(got) == _verdict_fields(want), (theta, pre, per)
+            kinds.add(got.kind)
+    assert kinds == {"periodic", "terminated", "aperiodic_up_to"}
+
+
+def test_expand_certified_matches_all_pairs_reference():
+    for theta in _recurrence_inputs():
+        for depth in (0, 3, 9):
+            for budget in (0, 1, 2, 4, 8, 16):
+                got = expand_certified(theta, depth, budget, budget)
+                want = reference_expand_certified(theta, depth, budget, budget)
+                assert got == want, (theta, depth, budget)
+                assert got.residual == want.residual
+
+
+def test_recurrence_filter_bounds_exact_compares(monkeypatch):
+    # every new state used to be compared exactly with every earlier one
+    # (16,768 compares here); the enclosure filter leaves at most a few
+    calls = []
+    exact = cf_module.compare
+
+    def counting(a, b):
+        calls.append((a, b))
+        return exact(a, b)
+
+    monkeypatch.setattr(cf_module, "compare", counting)
+    verdict = detect_period(_aperiodic_cubic(), 64, 64)
+    assert verdict.kind == "aperiodic_up_to" and verdict.depth == 128
+    assert len(calls) <= 4 * 128
+
+
+def test_detect_period_extends_a_truncated_expansion(monkeypatch):
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return jpa_step(state)
+
+    monkeypatch.setattr(cf_module, "jpa_step", counting)
+    for theta in (_quartic(), tribonacci_vector(), _aperiodic_cubic()):
+        for depth in (0, 1, 5, 9, 12):
+            exp = jpa_expand(theta, depth)
+            fresh = detect_period(theta, 4, 4)
+            calls.clear()
+            got = detect_period(exp, 4, 4)
+            assert _verdict_fields(got) == _verdict_fields(fresh)
+            if fresh.kind == "aperiodic_up_to":
+                # only the steps past the stored states are taken
+                assert len(calls) == max(0, 8 - depth)
+            # without its own states the expansion is searched from scratch
+            for other in (
+                dataclasses.replace(exp, theta=ScalarVector(list(exp.theta.entries))),
+                dataclasses.replace(exp, states=None),
+            ):
+                calls.clear()
+                got = detect_period(other, 4, 4)
+                assert _verdict_fields(got) == _verdict_fields(fresh)
+                if fresh.kind == "aperiodic_up_to":
+                    assert len(calls) == 8

@@ -1,12 +1,17 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from conftest import rng_for
+from conftest import reference_verify, rng_for
+from jperron import cf as cf_module
 from jperron.cf import (
     Expansion,
     Tail,
+    detect_period,
     jpa_expand,
+    jpa_step,
+    prefix_product,
     projectively_equal,
     scalar_mat_vec,
     step_matrix,
@@ -20,7 +25,7 @@ from jperron.errors import (
     RankMismatch,
     UnknownGenerator,
 )
-from jperron.intmat import det, identity, mat_eq, mat_mul
+from jperron.intmat import det, identity, inverse_unimodular, mat_mul, mat_eq
 from jperron.representation import (
     GeneratorAction,
     build_representation,
@@ -30,7 +35,7 @@ from jperron.representation import (
     representation_to_json,
     verify,
 )
-from jperron.scalars import ScalarVector, rational
+from jperron.scalars import ScalarVector, algebraic, rational
 
 
 def periodic_exp(prefix, period, rank):
@@ -510,3 +515,98 @@ def test_representation_json(tribonacci):
     assert payload["matrices"]["g"] == [list(r) for r in step_matrix((3, 4))]
     assert "theta_max" in payload
     assert payload["report"]["entries"]
+
+
+# ---------------------------------------------------------------- verify reuses the base run
+
+
+@pytest.fixture
+def count_steps(monkeypatch):
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return jpa_step(state)
+
+    monkeypatch.setattr(cf_module, "jpa_step", counting)
+    return calls
+
+
+def _quartic_representation(depth_budget):
+    g = algebraic([-2, 0, 0, 0, 1], 1, 2)
+    theta = ScalarVector([rational(1), g, g * g, g * g * g])
+    _, a = prepend_blocks(theta, [(1, 0, 2)])
+    _, b = prepend_blocks(theta, [(0, 1, 2), (2, 1, 3)])
+    actions = [GeneratorAction("a", matrix=a), GeneratorAction("b", matrix=b)]
+    return build_representation(theta, actions, depth_budget=depth_budget)
+
+
+def test_verify_extends_the_searched_base_run(count_steps):
+    rep = _quartic_representation(8)
+    assert rep.theta_offset == 0 and rep.base_run.depth == 16
+    count_steps.clear()
+    report = verify(rep, aperiodicity_budget=16)
+    # 32 searched states, 16 of them already stepped by build_representation
+    assert len(count_steps) <= 16
+    assert report == reference_verify(rep, aperiodicity_budget=16)
+
+
+def _shifted_representation(theta, k, depth_budget=8):
+    """A generator mapping theta to its k-th Jacobi-Perron state, so the
+    base stream aligns at offset k (a periodic base may align inside its
+    cycle)."""
+    shift = inverse_unimodular(prefix_product(jpa_expand(theta, k), k))
+    return build_representation(
+        theta, [GeneratorAction("s", matrix=shift)], depth_budget=depth_budget
+    )
+
+
+def _reuse_cases():
+    cases = []
+    for c, k in ((7, 5), (10, 3), (3, 1), (5, 2)):
+        g = algebraic([-c, 0, 0, 1], 1, 3)
+        cases.append(_shifted_representation(ScalarVector([rational(1), g, g * g]), k))
+    cases.append(_quartic_representation(4))
+    # terminated bases: rational, and algebraic but rationally dependent
+    rational_base = ScalarVector([rational(1), rational(355, 113), rational(22, 7)])
+    s2 = algebraic([-2, 0, 1], 1, 2)
+    for theta in (rational_base, ScalarVector([rational(1), s2, 2 * s2])):
+        _, m = prepend_blocks(theta, [(1, 2)])
+        cases.append(build_representation(theta, [GeneratorAction("p", matrix=m)], 8))
+    return cases
+
+
+def test_verify_matches_a_fresh_search():
+    inside_cycle = 0
+    for rep in _reuse_cases():
+        run = rep.base_run
+        if run.tail.kind == "periodic" and rep.theta_offset > run.tail.preperiod:
+            inside_cycle += 1
+        for budget in (0, 2, 5, 16):
+            relations = [[("s", 1), ("s", -1)]] if "s" in rep.matrices else []
+            want = reference_verify(rep, relations, budget)
+            assert verify(rep, relations, budget) == want
+    assert inside_cycle >= 2
+
+
+def test_verify_restarts_on_an_edited_representation(count_steps):
+    rep = _quartic_representation(8)
+    fresh_steps = 32
+    count_steps.clear()
+    detect_period(rep.theta_max, 16, 16)
+    assert len(count_steps) == fresh_steps
+    same_value = ScalarVector(list(rep.theta_max.entries))
+    other_base = _quartic_representation(8).base_expansion
+    for edited in (
+        dataclasses.replace(rep, theta_max=same_value),
+        dataclasses.replace(rep, base_expansion=other_base),
+    ):
+        count_steps.clear()
+        report = verify(edited, aperiodicity_budget=16)
+        assert len(count_steps) == fresh_steps
+        assert report == reference_verify(edited, aperiodicity_budget=16)
+    # a tail vector swapped for another state of the base is searched anew
+    moved = dataclasses.replace(rep, theta_max=rep.base_run.states[3])
+    assert verify(moved, aperiodicity_budget=6) == reference_verify(
+        moved, aperiodicity_budget=6
+    )
