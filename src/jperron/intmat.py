@@ -68,6 +68,8 @@ def is_integer_matrix(a):
 
 
 def check_unimodular(a):
+    if not a or any(len(row) != len(a) for row in a):
+        raise NotUnimodular("matrix must be square and non-empty")
     if not is_integer_matrix(a):
         raise NotUnimodular("matrix entries must be integers")
     d = det(a)

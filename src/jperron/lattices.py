@@ -97,24 +97,6 @@ def _as_coords(vec, dim):
     return coords
 
 
-def _rank_of(rows):
-    work = [list(r) for r in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(work)) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][c]
-        for i in range(len(work)):
-            if i != rank and work[i][c] != 0:
-                f = Fraction(work[i][c], 1) / pv
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return rank
-
-
 @dataclass(frozen=True)
 class PseudoLattice:
     """Rank-n Z-module in the frame's coordinate space, given by the images
@@ -131,7 +113,8 @@ class PseudoLattice:
             raise MalformedInput("a pseudo-lattice needs rank at least 2")
         if all(x == 0 for x in vecs[0]):
             raise MalformedInput("lambda_1 must be non-zero")
-        if _rank_of(vecs) != len(vecs):
+        (rows,) = _integerized(vecs)
+        if len(intmat.nonzero_rows(intmat.hnf(rows)[0])) != len(vecs):
             raise MalformedInput("lattice vectors are not Q-linearly independent")
         if self.positive is None and self.frame.field is not None:
             signs = [self.frame.sign_of(v) for v in vecs]
@@ -237,20 +220,16 @@ def _require_common_frame(p, q):
         raise FrameMismatch("lattices have different ranks")
 
 
-def _integerize_per_column(vec_rows, scales):
-    return [
-        [int(x * s) for x, s in zip(row, scales)]
-        for row in vec_rows
+def _integerized(*row_sets):
+    """The row sets with each column scaled by the lcm of its denominators
+    over all of them, as lists of integer rows."""
+    scales = [
+        lcm(*[row[c].denominator for rows in row_sets for row in rows])
+        for c in range(len(row_sets[0][0]))
     ]
-
-
-def _column_scales(*row_sets):
-    cols = len(row_sets[0][0])
-    scales = []
-    for c in range(cols):
-        denoms = [row[c].denominator for rows in row_sets for row in rows]
-        scales.append(lcm(*denoms) if denoms else 1)
-    return scales
+    return [
+        [[int(x * s) for x, s in zip(row, scales)] for row in rows] for rows in row_sets
+    ]
 
 
 @dataclass(frozen=True)
@@ -276,9 +255,7 @@ def pl_isomorphic(p, q):
     """Equality of the two Z-modules, with a unimodular witness T such
     that act(T, p) == q when they coincide."""
     _require_common_frame(p, q)
-    scales = _column_scales(p.vectors, q.vectors)
-    lp = _integerize_per_column(p.vectors, scales)
-    lq = _integerize_per_column(q.vectors, scales)
+    lp, lq = _integerized(p.vectors, q.vectors)
     hp, up = intmat.hnf(lp)
     hq, uq = intmat.hnf(lq)
     if not intmat.mat_eq(hp, hq):
@@ -320,9 +297,7 @@ def ppl_isomorphic(p, q):
 def pl_contains(p, q):
     """Is the module of q contained in the module of p?"""
     _require_common_frame(p, q)
-    scales = _column_scales(p.vectors, q.vectors)
-    lp = _integerize_per_column(p.vectors, scales)
-    lq = _integerize_per_column(q.vectors, scales)
+    lp, lq = _integerized(p.vectors, q.vectors)
     hp, _ = intmat.hnf(lp)
     stacked, _ = intmat.hnf(lp + lq)
     return intmat.nonzero_rows(stacked) == intmat.nonzero_rows(hp)

@@ -131,7 +131,11 @@ def common_tail(expansions, depth_budget=16):
     broken by the lexicographically smallest offset vector.  Inputs whose
     tails are all exact (terminated or periodic tags) get an exact
     decision; any truncated input limits the search to ``depth_budget``
-    offsets per stream and the result is labeled depth-bounded.
+    offsets per stream and the result is labeled depth-bounded.  That
+    search goes through the longest aligned suffix: for each stream and
+    cut that may give it, every other stream takes its least cut whose
+    suffix is a prefix of that one, so m streams cost at most
+    m^2 (depth_budget + 1)^2 prefix tests.
     """
     exps = list(expansions)
     if not exps:
@@ -183,62 +187,54 @@ def common_tail(expansions, depth_budget=16):
     raise NoCommonTail("terminated and periodic streams share no tail")
 
 
-def _compositions(total, parts, cap):
-    if parts == 1:
-        if total <= cap:
-            yield (total,)
-        return
-    for first in range(min(total, cap) + 1):
-        for rest in _compositions(total - first, parts - 1, cap):
-            yield (first,) + rest
+def _agree(a, ca, b, cb):
+    """Do the suffixes a[ca:] and b[cb:] overlap and agree on the overlap?"""
+    overlap = min(len(a) - ca, len(b) - cb)
+    return overlap >= 1 and a[ca:ca + overlap] == b[cb:cb + overlap]
 
 
 def _common_tail_bounded(exps, depth_budget):
     need = max(e.depth for e in exps) + depth_budget + 8
     realized = [e.realize(need) for e in exps]
-    lengths = [len(b) for b in realized]
-    m = len(exps)
-    cache = {}
-
-    def agree(i, j, ci, cj):
-        key = (i, j, ci, cj)
-        hit = cache.get(key)
-        if hit is None:
-            overlap = min(lengths[i] - ci, lengths[j] - cj)
-            hit = overlap >= 1 and realized[i][ci:ci + overlap] == realized[j][cj:cj + overlap]
-            cache[key] = hit
-        return hit
+    budget = range(depth_budget + 1)
 
     # cheap pre-check: every stream must align with the first one somehow
-    for j in range(1, m):
+    for j in range(1, len(realized)):
         if not any(
-            agree(0, j, c0, cj)
-            for c0 in range(depth_budget + 1)
-            for cj in range(depth_budget + 1)
+            _agree(realized[0], c0, realized[j], cj) for c0 in budget for cj in budget
         ):
             raise NoCommonTail(
                 "stream %d never aligns with stream 0 within budget %d"
                 % (j, depth_budget)
             )
-    for total in range(m * depth_budget + 1):
-        for cuts in _compositions(total, m, depth_budget):
-            if any(cuts[i] >= lengths[i] for i in range(m)):
-                continue
-            if all(
-                agree(i, j, cuts[i], cuts[j])
-                for i in range(m)
-                for j in range(i + 1, m)
-            ):
-                compared = min(lengths[i] - cuts[i] for i in range(m))
-                tail = Expansion(
-                    rank=exps[0].rank,
-                    blocks=tuple(realized[0][cuts[0]:]),
-                    tail=Tail.truncated(),
-                )
-                return TailAlignment(
-                    tuple(cuts), tail, DEPTH_BOUNDED, compared_depth=compared
-                )
-    raise NoCommonTail("no joint alignment within budget %d" % depth_budget)
+    # Suffixes that agree pairwise are all prefixes of the longest one.  So
+    # try each stream and cut for the longest suffix: every stream then
+    # takes, on its own, its least cut whose suffix is a prefix of that one.
+    best = (float("inf"), None)
+    for longest in realized:
+        for ck in range(min(depth_budget + 1, len(longest))):
+            if ck > best[0]:
+                break
+            room = len(longest) - ck
+            cuts = []
+            for s in realized:
+                fits = range(max(0, len(s) - room), min(depth_budget + 1, len(s)))
+                c = next((c for c in fits if _agree(s, c, longest, ck)), None)
+                if c is None:
+                    break
+                cuts.append(c)
+            else:
+                best = min(best, (sum(cuts), tuple(cuts)))
+    cuts = best[1]
+    if cuts is None:
+        raise NoCommonTail("no joint alignment within budget %d" % depth_budget)
+    compared = min(len(s) - c for s, c in zip(realized, cuts))
+    tail = Expansion(
+        rank=exps[0].rank,
+        blocks=tuple(realized[0][cuts[0]:]),
+        tail=Tail.truncated(),
+    )
+    return TailAlignment(cuts, tail, DEPTH_BOUNDED, compared_depth=compared)
 
 
 prefix_matrix = prefix_product
@@ -691,7 +687,14 @@ def action_from_json(obj):
         raise MalformedInput("generator entry needs a name")
     name = str(obj["name"])
     if "matrix" in obj:
-        matrix = [[int(x) for x in row] for row in obj["matrix"]]
+        try:
+            matrix = [[int(x) for x in row] for row in obj["matrix"]]
+        except (TypeError, ValueError) as exc:
+            raise MalformedInput(
+                "bad matrix of generator %r: %s" % (name, exc)
+            ) from exc
+        if not matrix or any(len(row) != len(matrix) for row in matrix):
+            raise MalformedInput("matrix of generator %r is not square" % name)
         return GeneratorAction(name=name, matrix=matrix)
     if "expansion" in obj:
         return GeneratorAction(name=name, expansion=expansion_from_json(obj["expansion"]))
@@ -706,10 +709,14 @@ def job_from_json(obj):
         theta = vector_from_json(obj["theta"])
     except KeyError as exc:
         raise MalformedInput("missing theta") from exc
-    actions = [action_from_json(g) for g in obj.get("generators", [])]
-    relations = [
-        [(str(g), int(k)) for g, k in word] for word in obj.get("relations", [])
-    ]
-    if "rank" in obj and int(obj["rank"]) != theta.rank:
+    try:
+        actions = [action_from_json(g) for g in obj.get("generators", [])]
+        relations = [
+            [(str(g), int(k)) for g, k in word] for word in obj.get("relations", [])
+        ]
+        rank = int(obj.get("rank", theta.rank))
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput("bad group action encoding: %s" % exc) from exc
+    if rank != theta.rank:
         raise MalformedInput("declared rank disagrees with theta length")
     return theta, actions, relations

@@ -20,9 +20,9 @@ from jperron.cf import (
     jpa_step,
 )
 from jperron.cli import _theta_from_obj
-from jperron.errors import MalformedInput, RankMismatch
+from jperron.errors import MalformedInput, NoCommonTail, RankMismatch
 from jperron.intmat import check_unimodular, identity, mat_mul
-from jperron.representation import verify
+from jperron.representation import DEPTH_BOUNDED, TailAlignment, verify
 from jperron.scalars import Ordering, ScalarVector, algebraic, compare, rational
 
 
@@ -91,6 +91,26 @@ def fraction_inverse_unimodular(a):
                 f = work[i][col]
                 work[i] = [x - f * y for x, y in zip(work[i], work[col])]
     return [[int(work[i][n + j]) for j in range(n)] for i in range(n)]
+
+
+def fraction_rank(rows):
+    """Gauss-Jordan over Q with Fraction entries: the oracle for the rank
+    test of ``lattices.PseudoLattice``, which runs ``intmat.hnf``."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    cols = len(work[0]) if work else 0
+    for c in range(cols):
+        pivot = next((i for i in range(rank, len(work)) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        pv = work[rank][c]
+        for i in range(len(work)):
+            if i != rank and work[i][c] != 0:
+                f = work[i][c] / pv
+                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
 
 
 # ------------------------------------------------------- recurrence search
@@ -196,10 +216,11 @@ def reference_verify(rep, relations=(), aperiodicity_budget=16):
 
 # ---------------------------------------------------------------- references
 # ``bratteli.tail_equivalent`` is the two-stream case of
-# ``representation.common_tail``, and ``cli._expand_one`` and
-# ``build_representation`` make one ``cf.expand_certified`` expansion.
-# The functions below decide and expand on their own, as the library did
-# before, and serve as oracles for both.
+# ``representation.common_tail``, whose bounded branch searches through
+# the longest suffix, and ``cli._expand_one`` and ``build_representation``
+# make one ``cf.expand_certified`` expansion.  The functions below decide,
+# align and expand on their own, as the library did before, and serve as
+# oracles for all three.
 
 
 def _reference_stream(exp):
@@ -317,6 +338,67 @@ def _reference_truncated(e1, e2, depth_budget):
         certified=False,
         note="truncated data: no alignment within offset budget %d" % depth_budget,
     )
+
+
+def _compositions(total, parts, cap):
+    if parts == 1:
+        if total <= cap:
+            yield (total,)
+        return
+    for first in range(min(total, cap) + 1):
+        for rest in _compositions(total - first, parts - 1, cap):
+            yield (first,) + rest
+
+
+def reference_common_tail_bounded(exps, depth_budget):
+    """The bounded branch of ``representation.common_tail`` as an
+    enumeration of every cut vector in order of total, then lexicographic
+    order, over a memo of pairwise agreements (cost (b+1)^m)."""
+    need = max(e.depth for e in exps) + depth_budget + 8
+    realized = [e.realize(need) for e in exps]
+    lengths = [len(b) for b in realized]
+    m = len(exps)
+    cache = {}
+
+    def agree(i, j, ci, cj):
+        key = (i, j, ci, cj)
+        hit = cache.get(key)
+        if hit is None:
+            overlap = min(lengths[i] - ci, lengths[j] - cj)
+            hit = overlap >= 1 and realized[i][ci:ci + overlap] == realized[j][cj:cj + overlap]
+            cache[key] = hit
+        return hit
+
+    # cheap pre-check: every stream must align with the first one somehow
+    for j in range(1, m):
+        if not any(
+            agree(0, j, c0, cj)
+            for c0 in range(depth_budget + 1)
+            for cj in range(depth_budget + 1)
+        ):
+            raise NoCommonTail(
+                "stream %d never aligns with stream 0 within budget %d"
+                % (j, depth_budget)
+            )
+    for total in range(m * depth_budget + 1):
+        for cuts in _compositions(total, m, depth_budget):
+            if any(cuts[i] >= lengths[i] for i in range(m)):
+                continue
+            if all(
+                agree(i, j, cuts[i], cuts[j])
+                for i in range(m)
+                for j in range(i + 1, m)
+            ):
+                compared = min(lengths[i] - cuts[i] for i in range(m))
+                tail = Expansion(
+                    rank=exps[0].rank,
+                    blocks=tuple(realized[0][cuts[0]:]),
+                    tail=Tail.truncated(),
+                )
+                return TailAlignment(
+                    tuple(cuts), tail, DEPTH_BOUNDED, compared_depth=compared
+                )
+    raise NoCommonTail("no joint alignment within budget %d" % depth_budget)
 
 
 def reference_expand_tagged(vec, depth_budget):

@@ -395,3 +395,24 @@ def test_expand_matches_search_then_expand_reference():
     assert kinds == {
         "terminated", "truncated", "periodic", "IndeterminateFloor", "NonPositiveState"
     }
+
+
+_MALFORMED_JOBS = {
+    "non-integer entry": {"generators": [{"name": "a", "matrix": [["x", 0, 0], [0, 1, 0], [0, 0, 1]]}]},
+    "ragged matrix": {"generators": [{"name": "a", "matrix": [[1], [0, 1], [0, 0, 1]]}]},
+    "scalar matrix": {"generators": [{"name": "a", "matrix": 5}]},
+    "empty matrix": {"generators": [{"name": "a", "matrix": []}]},
+    "short relation pair": {"generators": [], "relations": [[["a"]]]},
+    "non-integer rank": {"generators": [], "rank": "x"},
+    "scalar generators": {"generators": 5},
+}
+
+
+@pytest.mark.parametrize("job", list(_MALFORMED_JOBS.values()), ids=list(_MALFORMED_JOBS))
+def test_represent_malformed_job_is_a_json_parse_error(job, capsys):
+    # each used to end in an uncaught ValueError, IndexError or TypeError
+    text = json.dumps(dict(job, theta=[1, "7/5", "11/5"]))
+    code = cli.main(["represent", "--theta", text])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "parse"

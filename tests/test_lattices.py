@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_unimodular, rng_for
+from conftest import fraction_rank, random_unimodular, rng_for
 from jperron.errors import (
     FrameMismatch,
     InvalidGenus,
@@ -298,3 +298,33 @@ def test_projective_json():
     obj = lattice_to_json(PseudoLattice(FRAME2, pp.vectors))
     back = projective_from_json(obj)
     assert back.vectors == pp.vectors
+
+
+def test_independence_check_matches_fraction_rank():
+    # the rank now comes from the Hermite form of the integerized rows
+    rng = rng_for("lattice-rank")
+    dependent = 0
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        n = rng.randint(2, 5)
+        rows = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(dim)]
+            for _ in range(n)
+        ]
+        if rng.random() < 0.4:
+            i = rng.randrange(n)
+            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
+            rows[i] = [
+                sum(c * r[k] for j, (c, r) in enumerate(zip(coeffs, rows)) if j != i)
+                for k in range(dim)
+            ]
+        frame = CoordinateFrame(["s%d" % k for k in range(dim)])
+        expected = fraction_rank(rows) == n
+        dependent += not expected
+        try:
+            PseudoLattice(frame, rows)
+            accepted = True
+        except MalformedInput:
+            accepted = False
+        assert accepted == expected
+    assert 60 < dependent < 300

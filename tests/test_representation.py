@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import reference_verify, rng_for
+from conftest import reference_common_tail_bounded, reference_verify, rng_for
 from jperron import cf as cf_module
+from jperron import representation as representation_module
 from jperron.cf import (
     Expansion,
     Tail,
@@ -12,6 +13,7 @@ from jperron.cf import (
     jpa_expand,
     jpa_step,
     prefix_product,
+    primitive_period,
     projectively_equal,
     scalar_mat_vec,
     step_matrix,
@@ -203,6 +205,137 @@ def test_common_tail_matches_brute_force_minimum():
         assert best is not None
         assert sum(al.offsets) == best[0]
         assert tuple(al.offsets) == best[1]
+
+
+# ------------------------------------------- bounded alignment, differential
+# ``common_tail`` of a set with a truncated stream searches through the
+# longest suffix; ``reference_common_tail_bounded`` enumerates every cut
+# vector.  Both must give the same alignment or the same error.
+
+
+def _alignment_outcome(align, exps, budget):
+    try:
+        al = align(exps, budget)
+    except NoCommonTail as exc:
+        return ("no common tail", str(exc))
+    return (al.offsets, al.tail.blocks, al.tail.tail.kind, al.certification,
+            al.compared_depth)
+
+
+def _assert_same_alignment(exps, budget):
+    got = _alignment_outcome(common_tail, exps, budget)
+    want = _alignment_outcome(reference_common_tail_bounded, exps, budget)
+    assert got == want, (exps, budget)
+    return got
+
+
+def _truncated(blocks, rank=2):
+    return Expansion(rank=rank, blocks=tuple(blocks), tail=Tail.truncated())
+
+
+def _random_blocks(rng, count, alphabet=2):
+    return [(rng.randrange(alphabet),) for _ in range(count)]
+
+
+def _random_stream(rng, shared, period):
+    """One stream of a set that may share ``shared`` or ``period``."""
+    kind = rng.choice(("shared", "shared", "free", "empty", "constant",
+                       "periodic-looking", "periodic"))
+    prefix = _random_blocks(rng, rng.randint(0, 5))
+    if kind == "shared":
+        return _truncated(prefix + shared[:rng.randint(0, len(shared))])
+    if kind == "free":
+        return _truncated(_random_blocks(rng, rng.randint(1, 14)))
+    if kind == "empty":
+        return _truncated([])
+    if kind == "constant":
+        return _truncated([(rng.randrange(2),)] * rng.randint(1, 14))
+    rot = rng.randrange(len(period))
+    rotated = period[rot:] + period[:rot]
+    if kind == "periodic-looking":
+        return _truncated(prefix + list(rotated * 8)[:rng.randint(1, 16)])
+    return periodic_exp(prefix, rotated, 2)
+
+
+def _random_period(rng):
+    while True:
+        period = tuple(_random_blocks(rng, rng.randint(1, 3)))
+        if primitive_period(period) == period:
+            return period
+
+
+def test_bounded_alignment_matches_the_enumerator():
+    rng = rng_for("bounded-alignment")
+    seen = set()
+    cases = [(m, b) for m in (2, 3, 4) for b in range(9)] + [(5, b) for b in range(5)]
+    for m, budget in cases:
+        for _ in range(40):
+            shared = _random_blocks(rng, rng.randint(0, 12))
+            period = _random_period(rng)
+            exps = [_random_stream(rng, shared, period) for _ in range(m)]
+            if all(e.tail.kind == "periodic" for e in exps):
+                exps[0] = _truncated(shared)
+            got = _assert_same_alignment(exps, budget)
+            seen.add(got[1].split(" within")[0] if got[0] == "no common tail" else "aligned")
+    assert seen == {
+        "aligned",
+        "no joint alignment",
+        "stream 1 never aligns with stream 0",
+        "stream 2 never aligns with stream 0",
+        "stream 3 never aligns with stream 0",
+        "stream 4 never aligns with stream 0",
+    }
+
+
+def test_bounded_alignment_without_a_joint_tail():
+    # each stream aligns with stream 0, so the pre-check passes, but
+    # streams 1 and 2 part after the shared blocks
+    rng = rng_for("bounded-alignment-disjoint")
+    for _ in range(60):
+        shared = [(rng.randrange(4),) for _ in range(rng.randint(1, 8))]
+        exps = [
+            _truncated(shared),
+            _truncated(_random_blocks(rng, rng.randint(0, 3)) + shared + [(5,)]),
+            _truncated(_random_blocks(rng, rng.randint(0, 3)) + shared + [(6,)]),
+        ]
+        for budget in (3, 6):
+            got = _assert_same_alignment(exps, budget)
+            assert got[0] == "no common tail"
+
+
+def test_bounded_alignment_of_empty_and_constant_streams():
+    empty = _truncated([])
+    ones = _truncated([(1,)] * 9)
+    twos = _truncated([(1,)] * 5 + [(2,)] * 7)
+    for exps in ([empty, ones], [ones, empty], [ones, empty, ones], [ones, ones],
+                 [ones, twos, ones], [twos, ones, _truncated([(2,)] * 3)],
+                 [ones, periodic_exp([], [(1,)], 2), _truncated([(1,)] * 2)]):
+        for budget in range(8):
+            _assert_same_alignment(exps, budget)
+
+
+def test_bounded_alignment_test_count(monkeypatch):
+    # eight streams with one shared tail after a 4-block prefix each: the
+    # enumerator's cost grows as (b+1)^m; the search makes at most
+    # m^2 (b+1)^2 = 40,000 prefix tests at budget 24
+    calls = []
+    agree = representation_module._agree
+
+    def counting(*args):
+        calls.append(args)
+        return agree(*args)
+
+    monkeypatch.setattr(representation_module, "_agree", counting)
+    rng = rng_for("bounded-alignment-count")
+    shared = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(40)]
+    exps = [
+        _truncated([(9, 10 * i + j) for j in range(4)] + shared, rank=3)
+        for i in range(8)
+    ]
+    al = common_tail(exps, depth_budget=24)
+    assert al.offsets == (4,) * 8
+    assert al.compared_depth == 40
+    assert len(calls) <= 8 ** 2 * 25 ** 2
 
 
 # ---------------------------------------------------------------- prefix_matrix
