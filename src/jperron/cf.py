@@ -35,6 +35,7 @@ from .scalars import (
     ScalarVector,
     compare,
     floor_exact,
+    int_from_json,
     rational,
     vector_from_json,
     vector_to_json,
@@ -787,8 +788,8 @@ def expansion_from_json(obj):
     if not isinstance(obj, dict):
         raise MalformedInput("expansion must be a JSON object")
     try:
-        rank = int(obj["rank"])
-        blocks = [tuple(int(x) for x in b) for b in obj["blocks"]]
+        rank = int_from_json(obj["rank"])
+        blocks = [tuple(int_from_json(x) for x in b) for b in obj["blocks"]]
         tail_obj = obj["tail"]
         kind = tail_obj["kind"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -800,8 +801,8 @@ def expansion_from_json(obj):
     elif kind == PERIODIC:
         try:
             tail = Tail.periodic(
-                tail_obj["preperiod"],
-                [tuple(int(x) for x in b) for b in tail_obj["period"]],
+                int_from_json(tail_obj["preperiod"]),
+                [tuple(int_from_json(x) for x in b) for b in tail_obj["period"]],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput("bad periodic tail: %s" % exc) from exc

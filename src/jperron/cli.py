@@ -37,7 +37,7 @@ from .representation import (
     representation_to_json,
     verify,
 )
-from .scalars import vector_from_json
+from .scalars import _check_exponent, vector_from_json
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -89,23 +89,6 @@ def _read_input(args):
         with open(args.input, "r", encoding="utf-8") as fh:
             return _load_json(fh.read())
     raise MalformedInput("no input given: use --theta or --input")
-
-
-def _check_exponent(text):
-    # Fraction("1e999999999") builds the whole power of ten before any
-    # other check runs; bound the exponent as int() bounds its digits
-    _, marker, exponent = text.lower().partition("e")
-    if not marker:
-        return
-    try:
-        exponent = int(exponent)
-    except ValueError:
-        return  # not a number at all: Fraction rejects it
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if abs(exponent) > limit:
-        raise MalformedInput(
-            "decimal exponent %d exceeds the limit of %d" % (exponent, limit)
-        )
 
 
 def _coerce_entry(entry, mode):

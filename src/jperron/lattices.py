@@ -22,7 +22,15 @@ from .errors import (
     MalformedInput,
     NonInvertibleLeadingEntry,
 )
-from .scalars import NumberField, _elem_inverse, _elem_sign
+from .scalars import (
+    NumberField,
+    _elem_inverse,
+    _elem_sign,
+    _fraction_from_json,
+    _reduced,
+    _split,
+    int_from_json,
+)
 
 
 class CoordinateFrame:
@@ -192,13 +200,13 @@ def project(pl):
     head = pl.vectors[0]
     unit = frame.unit_index
     if frame.field is not None:
-        inv = _elem_inverse(poly.trim(head), frame.field)
-        d = frame.dimension
+        inum, iden = _split(_elem_inverse(head, frame.field))
+        pad = (Fraction(0),) * frame.dimension
         new = []
         for v in pl.vectors:
-            prod = poly.div_mod(poly.mul(poly.trim(v), inv), frame.field.modulus)[1]
-            coords = list(prod) + [Fraction(0)] * (d - len(prod))
-            new.append(tuple(Fraction(x) for x in coords))
+            vnum, vden = _split(v)
+            num, den = _reduced(frame.field.modulus, poly.mul(vnum, inum), vden * iden)
+            new.append(tuple(Fraction(c, den) for c in num) + pad[len(num):])
         return ProjectivePseudoLattice(frame, tuple(new))
     if unit is not None and all(x == 0 for i, x in enumerate(head) if i != unit):
         c = head[unit]
@@ -335,10 +343,8 @@ def frame_from_json(obj):
         r = obj.get("root")
         if not r:
             raise MalformedInput("field frame JSON needs a root interval")
-        root = (
-            Fraction(int(r["lo"][0]), int(r["lo"][1])),
-            Fraction(int(r["hi"][0]), int(r["hi"][1])),
-        )
+        modulus = [int_from_json(c) for c in modulus]
+        root = (_fraction_from_json(r["lo"]), _fraction_from_json(r["hi"]))
     return CoordinateFrame(symbols, modulus=modulus, root=root)
 
 
@@ -352,9 +358,7 @@ def _vectors_from_json(obj):
     rows = obj.get("vectors")
     if not isinstance(rows, list):
         raise MalformedInput("missing lattice vectors")
-    return tuple(
-        tuple(Fraction(int(x[0]), int(x[1])) for x in row) for row in rows
-    )
+    return tuple(tuple(_fraction_from_json(x) for x in row) for row in rows)
 
 
 def lattice_from_json(obj):

@@ -76,21 +76,6 @@ def div_mod(p, q):
     return trim(quo), trim(rem)
 
 
-def monic(p):
-    if not p:
-        return ZERO
-    lead = Fraction(p[-1])
-    return tuple(Fraction(c) / lead for c in p)
-
-
-def gcd(p, q):
-    """Monic polynomial gcd over Q via the Euclidean remainder chain."""
-    a, b = trim(p), trim(q)
-    while b:
-        a, b = b, div_mod(a, b)[1]
-    return monic(a)
-
-
 def _over_one_den(p):
     """(integer numerators, least common denominator) of int/Fraction p."""
     den = 1
@@ -110,22 +95,20 @@ def _cancel_step(p, q, s, t, k):
     return out
 
 
-def extended_gcd(p, q):
-    """Return (g, u, v) with u*p + v*q = g and g monic.
+def _remainders(p, q, cofactors):
+    """Last nonzero row (r, u, v) of the fraction-free remainder sequence.
 
-    Runs fraction-free.  With P = dp*p and Q = dq*q integral, every row
-    (r, u, v) of the remainder sequence satisfies r = u*P + v*Q in
-    integers: r is reduced by the next row through one-term
-    pseudo-division (both scaled so that the leading terms cancel) and then
-    divided by the content of the whole row.  The remainder over Q is
-    unique, so each row is a nonzero rational multiple of the Euclidean
-    row, and dividing the last one by the leading coefficient of r gives
-    the same g, u and v as Euclid over Q.
+    With P = dp*p and Q = dq*q integral, every row (r, u, v) satisfies
+    r = u*P + v*Q in integers: r is reduced by the next row through
+    one-term pseudo-division (both scaled so that the leading terms cancel)
+    and then divided by the content of the whole row.  The remainder over
+    Q is unique, so each row is a nonzero rational multiple of the
+    Euclidean row.  Without ``cofactors`` u and v stay empty and each
+    remainder is divided by its own content.  Returns (r, u, v, dp, dq).
     """
     a, dp = _over_one_den(trim(p))
     b, dq = _over_one_den(trim(q))
-    ua, va = [1], []
-    ub, vb = [], [1]
+    ua, va, ub, vb = ([1], [], [], [1]) if cofactors else ([], [], [], [])
     while b:
         lb = b[-1]
         while len(a) >= len(b):
@@ -133,8 +116,9 @@ def extended_gcd(p, q):
             g = int_gcd(c, lb)
             s, t, k = lb // g, c // g, len(a) - len(b)
             a = _cancel_step(a, b, s, t, k)
-            ua = _cancel_step(ua, ub, s, t, k)
-            va = _cancel_step(va, vb, s, t, k)
+            if cofactors:
+                ua = _cancel_step(ua, ub, s, t, k)
+                va = _cancel_step(va, vb, s, t, k)
         g = int_gcd(*a, *ua, *va)
         if g != 1:
             a = [c // g for c in a]
@@ -143,6 +127,22 @@ def extended_gcd(p, q):
         a, b = b, a
         ua, ub = ub, ua
         va, vb = vb, va
+    return a, ua, va, dp, dq
+
+
+def gcd(p, q):
+    """Monic polynomial gcd over Q."""
+    a = _remainders(p, q, False)[0]
+    return tuple(Fraction(c, a[-1]) for c in a)
+
+
+def extended_gcd(p, q):
+    """Return (g, u, v) with u*p + v*q = g and g monic.
+
+    Runs fraction-free (``_remainders``); dividing the last row by the
+    leading coefficient of r gives the same g, u and v as Euclid over Q.
+    """
+    a, ua, va, dp, dq = _remainders(p, q, True)
     if not a:
         return ZERO, ZERO, ZERO
     lead = a[-1]

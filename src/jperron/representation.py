@@ -40,7 +40,13 @@ from .errors import (
     RankMismatch,
     UnknownGenerator,
 )
-from .scalars import ScalarVector, vector_from_json, vector_to_json
+from .scalars import (
+    ScalarVector,
+    _digit_limit,
+    int_from_json,
+    vector_from_json,
+    vector_to_json,
+)
 
 EXACT = "exact"
 DEPTH_BOUNDED = "depth_bounded"
@@ -198,15 +204,6 @@ def _common_tail_bounded(exps, depth_budget):
     realized = [e.realize(need) for e in exps]
     budget = range(depth_budget + 1)
 
-    # cheap pre-check: every stream must align with the first one somehow
-    for j in range(1, len(realized)):
-        if not any(
-            _agree(realized[0], c0, realized[j], cj) for c0 in budget for cj in budget
-        ):
-            raise NoCommonTail(
-                "stream %d never aligns with stream 0 within budget %d"
-                % (j, depth_budget)
-            )
     # Suffixes that agree pairwise are all prefixes of the longest one.  So
     # try each stream and cut for the longest suffix: every stream then
     # takes, on its own, its least cut whose suffix is a prefix of that one.
@@ -227,6 +224,19 @@ def _common_tail_bounded(exps, depth_budget):
                 best = min(best, (sum(cuts), tuple(cuts)))
     cuts = best[1]
     if cuts is None:
+        # name a stream that never aligns with stream 0, if there is one
+        # (after a found alignment there is none: any two of its suffixes
+        # are prefixes of the longest one, so they agree)
+        for j in range(1, len(realized)):
+            if not any(
+                _agree(realized[0], c0, realized[j], cj)
+                for c0 in budget
+                for cj in budget
+            ):
+                raise NoCommonTail(
+                    "stream %d never aligns with stream 0 within budget %d"
+                    % (j, depth_budget)
+                )
         raise NoCommonTail("no joint alignment within budget %d" % depth_budget)
     compared = min(len(s) - c for s, c in zip(realized, cuts))
     tail = Expansion(
@@ -688,7 +698,7 @@ def action_from_json(obj):
     name = str(obj["name"])
     if "matrix" in obj:
         try:
-            matrix = [[int(x) for x in row] for row in obj["matrix"]]
+            matrix = [[int_from_json(x) for x in row] for row in obj["matrix"]]
         except (TypeError, ValueError) as exc:
             raise MalformedInput(
                 "bad matrix of generator %r: %s" % (name, exc)
@@ -712,11 +722,20 @@ def job_from_json(obj):
     try:
         actions = [action_from_json(g) for g in obj.get("generators", [])]
         relations = [
-            [(str(g), int(k)) for g, k in word] for word in obj.get("relations", [])
+            [(str(g), int_from_json(k)) for g, k in word]
+            for word in obj.get("relations", [])
         ]
-        rank = int(obj.get("rank", theta.rank))
+        rank = int_from_json(obj.get("rank", theta.rank))
     except (TypeError, ValueError) as exc:
         raise MalformedInput("bad group action encoding: %s" % exc) from exc
+    # each entry of a power grows linearly with the exponent
+    limit = _digit_limit()
+    for word in relations:
+        for _, k in word:
+            if abs(k) > limit:
+                raise MalformedInput(
+                    "relation exponent %d exceeds the limit of %d" % (k, limit)
+                )
     if rank != theta.rank:
         raise MalformedInput("declared rank disagrees with theta length")
     return theta, actions, relations

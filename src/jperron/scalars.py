@@ -27,6 +27,7 @@ scalar represents; the enclosure is replaced as one tuple, so every read
 sees a valid enclosure.
 """
 
+import sys
 from enum import Enum
 from fractions import Fraction
 from math import floor as _floor
@@ -100,14 +101,6 @@ class NumberField:
             self._enclosure = (lo, mid)
         else:
             self._enclosure = (mid, hi)
-
-    def refine_to(self, eps):
-        eps = Fraction(eps)
-        while self._exact_root is None:
-            lo, hi = self._enclosure
-            if hi - lo <= eps:
-                break
-            self.refine_once()
 
     def same_root(self, other):
         """Whether ``other`` pins the same real root of the same modulus."""
@@ -476,23 +469,6 @@ class AlgebraicScalar(Scalar):
             )
         raise AssertionError("no dependency among field element powers")
 
-    def isolating_data(self):
-        """(annihilator, lo, hi) with exactly one root of it inside."""
-        minpoly = self.annihilator()
-        if poly.degree(minpoly) == 1:
-            v = Fraction(-minpoly[0], minpoly[1])
-            return minpoly, v, v
-        chain = poly.sturm_chain(minpoly)
-        while True:
-            lo, hi = self.enclosure()
-            if (
-                poly.evaluate(minpoly, lo) != 0
-                and poly.evaluate(minpoly, hi) != 0
-                and poly.count_roots(chain, lo, hi) == 1
-            ):
-                return minpoly, lo, hi
-            self.field.refine_once()
-
     def __repr__(self):
         return "AlgebraicScalar(%r, %r)" % (self.field, [str(c) for c in self.coeffs])
 
@@ -793,10 +769,39 @@ def _fraction_to_json(f):
     return [f.numerator, f.denominator]
 
 
+def _digit_limit():
+    """Python's int/str digit limit, or its default when the limit is off."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def _check_exponent(text):
+    # Fraction("1e999999999") builds the whole power of ten before any
+    # other check runs; bound the exponent as int() bounds its digits
+    _, marker, exponent = text.lower().partition("e")
+    if not marker:
+        return
+    try:
+        exponent = int(exponent)
+    except ValueError:
+        return  # not a number at all: Fraction rejects it
+    limit = _digit_limit()
+    if abs(exponent) > limit:
+        raise MalformedInput(
+            "decimal exponent %d exceeds the limit of %d" % (exponent, limit)
+        )
+
+
+def int_from_json(x):
+    """A JSON integer: an int that is not a bool; floats and strings fail."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise MalformedInput("expected a JSON integer, got %r" % (x,))
+
+
 def _fraction_from_json(obj):
     try:
         num, den = obj
-        return Fraction(int(num), int(den))
+        return Fraction(int_from_json(num), int_from_json(den))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedInput("bad rational pair %r" % (obj,)) from exc
 
@@ -827,10 +832,16 @@ def scalar_from_json(obj):
     """Decode a scalar; accepts {"rat": ...} objects or ["rat", ...] pairs."""
     if isinstance(obj, (list, tuple)) and len(obj) == 2 and isinstance(obj[0], str):
         obj = {obj[0]: obj[1]}
+    if isinstance(obj, bool):
+        raise MalformedInput("booleans are not scalars")
     if isinstance(obj, int):
         return rational(obj)
     if isinstance(obj, str):
-        return RationalScalar(Fraction(obj))
+        _check_exponent(obj)
+        try:
+            return RationalScalar(Fraction(obj))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MalformedInput("cannot read %r as a number" % (obj,)) from exc
     if not isinstance(obj, dict) or len(obj) != 1:
         raise MalformedInput("bad scalar encoding %r" % (obj,))
     (tag, body), = obj.items()
@@ -838,7 +849,7 @@ def scalar_from_json(obj):
         return RationalScalar(_fraction_from_json(body))
     if tag == "alg":
         try:
-            mod = [int(c) for c in body["poly"]]
+            mod = [int_from_json(c) for c in body["poly"]]
             lo = _fraction_from_json(body["lo"])
             hi = _fraction_from_json(body["hi"])
         except (KeyError, TypeError, ValueError) as exc:

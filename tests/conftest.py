@@ -22,8 +22,16 @@ from jperron.cf import (
 from jperron.cli import _theta_from_obj
 from jperron.errors import MalformedInput, NoCommonTail, RankMismatch
 from jperron.intmat import check_unimodular, identity, mat_mul
+from jperron.lattices import ProjectivePseudoLattice
 from jperron.representation import DEPTH_BOUNDED, TailAlignment, verify
-from jperron.scalars import Ordering, ScalarVector, algebraic, compare, rational
+from jperron.scalars import (
+    Ordering,
+    ScalarVector,
+    _elem_inverse,
+    algebraic,
+    compare,
+    rational,
+)
 
 
 def tribonacci_vector():
@@ -72,6 +80,32 @@ def fraction_extended_gcd(p, q):
         return poly.ZERO, poly.ZERO, poly.ZERO
     inv = 1 / Fraction(a[-1])
     return poly.scale(a, inv), poly.scale(ua, inv), poly.scale(va, inv)
+
+
+def fraction_gcd(p, q):
+    """Euclid over Q with Fraction coefficients: the oracle for
+    ``poly.gcd``, which runs fraction-free."""
+    a, b = poly.trim(p), poly.trim(q)
+    while b:
+        a, b = b, poly.div_mod(a, b)[1]
+    if not a:
+        return poly.ZERO
+    lead = Fraction(a[-1])
+    return tuple(Fraction(c) / lead for c in a)
+
+
+def fraction_project(pl):
+    """The field branch of ``lattices.project`` with Fraction polynomial
+    division by the modulus: the oracle for the field-kernel version."""
+    field = pl.frame.field
+    inv = _elem_inverse(poly.trim(pl.vectors[0]), field)
+    d = pl.frame.dimension
+    new = []
+    for v in pl.vectors:
+        prod = poly.div_mod(poly.mul(poly.trim(v), inv), field.modulus)[1]
+        coords = list(prod) + [Fraction(0)] * (d - len(prod))
+        new.append(tuple(Fraction(x) for x in coords))
+    return ProjectivePseudoLattice(pl.frame, tuple(new))
 
 
 def fraction_inverse_unimodular(a):

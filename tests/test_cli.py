@@ -416,3 +416,63 @@ def test_represent_malformed_job_is_a_json_parse_error(job, capsys):
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "parse"
+
+
+_MAT3 = [[0, 0, 1], [1, 0, 1], [0, 1, 1]]
+_MALFORMED_INPUTS = {
+    "float numerator": ("expand", [{"rat": [1.5, 1]}, {"rat": [7, 2]}]),
+    "boolean numerator": ("expand", [{"rat": [1, 1]}, {"rat": [True, 1]}]),
+    "float denominator": ("expand", [{"rat": [1, 1]}, {"rat": [7, 2.9]}]),
+    "string numerator": ("expand", [{"rat": [1, 1]}, {"rat": ["7", 2]}]),
+    "float modulus coefficient": (
+        "represent",
+        {"theta": [1, {"alg": {"poly": [-2, 0, 1.7], "lo": [1, 1], "hi": [2, 1]}}],
+         "generators": []},
+    ),
+    "boolean theta entry": ("represent", {"theta": [1, True, "3"], "generators": []}),
+    "unreadable theta string": ("represent", {"theta": [1, "abc", "3"], "generators": []}),
+    "zero denominator string": ("represent", {"theta": [1, "1/0", "3"], "generators": []}),
+    "huge decimal exponent": ("represent", {"theta": [1, "1e5000", "3"], "generators": []}),
+    "float and boolean matrix entries": (
+        "represent",
+        {"theta": [1, "7/5", "11/5"],
+         "generators": [{"name": "a", "matrix": [[1.9, 0, 0], [0, 1, 0], [0, 0, True]]}],
+         "relations": [[["a", 1]]]},
+    ),
+    "float relation exponent": (
+        "represent",
+        {"theta": [1, "7/5", "11/5"], "generators": [{"name": "a", "matrix": _MAT3}],
+         "relations": [[["a", 2.7]]]},
+    ),
+    "huge relation exponent": (
+        "represent",
+        {"theta": [1, "7/5", "11/5"], "generators": [{"name": "a", "matrix": _MAT3}],
+         "relations": [[["a", 1000000000]]]},
+    ),
+    "float rank": ("represent", {"theta": [1, "7/5", "11/5"], "generators": [], "rank": 3.0}),
+    "float expansion rank": (
+        "represent",
+        {"rank": 2.0, "blocks": [[1]], "tail": {"kind": "truncated"}, "theta": [1, "1/2"]},
+    ),
+    "float digit": (
+        "represent",
+        {"rank": 2, "blocks": [[1.5]], "tail": {"kind": "truncated"}, "theta": [1, "1/2"]},
+    ),
+    "float preperiod": (
+        "represent",
+        {"rank": 2, "blocks": [[1]], "tail": {"kind": "periodic", "preperiod": 0.5,
+                                              "period": [[1]]}, "theta": [1, "1/2"]},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command,obj", list(_MALFORMED_INPUTS.values()), ids=list(_MALFORMED_INPUTS)
+)
+def test_malformed_json_numbers_are_parse_errors(command, obj, capsys):
+    # each used to be read as other input (int() truncates floats and takes
+    # booleans), to end in a traceback, or to fail only when printed
+    code = cli.main([command, "--theta", json.dumps(obj)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "parse"

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fraction_rank, random_unimodular, rng_for
+from conftest import fraction_project, fraction_rank, random_unimodular, rng_for
+from jperron import polynomials as poly
 from jperron.errors import (
     FrameMismatch,
     InvalidGenus,
@@ -105,6 +106,72 @@ def test_project_over_number_field():
     pp = project(pl)
     # (1 + phi)/phi = phi exactly, because 1/phi = phi - 1
     assert pp.vectors == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+
+
+# monic, non-monic and reducible moduli; the last two pin sqrt 3 and the
+# rational root 2 of (x - 2)(x^2 - 3)
+_PROJECT_FIELDS = [
+    ([-2, 0, 0, 1], (1, 2)),
+    ([-1, 2, 0, 7], (0, 1)),
+    ([6, -3, -2, 1], (Fraction(17, 10), Fraction(18, 10))),
+    ([6, -3, -2, 1], (Fraction(19, 10), Fraction(21, 10))),
+]
+
+
+def _project_outcome(fn, pl):
+    try:
+        return fn(pl).vectors
+    except (ZeroDivisionError, MalformedInput) as exc:
+        # a zero-divisor head is inverted modulo a factor of the modulus, so
+        # its quotient by itself is not reduced to 1 modulo the whole modulus
+        return type(exc).__name__, str(exc)
+
+
+def test_project_matches_fraction_reference():
+    rng = rng_for("project-field-kernel")
+    zero_divisors = projected = 0
+    for modulus, root in _PROJECT_FIELDS:
+        frame = CoordinateFrame(["1", "g", "g^2"], modulus=modulus, root=root)
+        for k in range(60):
+            rank = 2 + k % 2
+            vectors = [
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)]
+                for _ in range(rank)
+            ]
+            if modulus == _PROJECT_FIELDS[2][0] and k % 4 == 0:
+                # a head sharing a factor with the modulus: x - 2 or x^2 - 3
+                vectors[0] = [Fraction(-2), Fraction(1), Fraction(0)]
+                if k % 8 == 0:
+                    vectors[0] = [Fraction(-3), Fraction(0), Fraction(1)]
+                zero_divisors += 1
+            if all(x == 0 for x in vectors[0]):
+                continue
+            try:
+                pl = PseudoLattice(frame, vectors)
+            except MalformedInput:
+                continue  # dependent vectors
+            got = _project_outcome(project, pl)
+            assert got == _project_outcome(fraction_project, pl), (modulus, vectors)
+            if not isinstance(got[0], str):
+                assert all(type(x) is Fraction for v in got for x in v)
+                projected += 1
+    assert zero_divisors >= 20 and projected >= 150
+
+
+def test_project_makes_no_polynomial_division(monkeypatch):
+    lattices = [
+        PseudoLattice(
+            CoordinateFrame(["1", "g", "g^2"], modulus=modulus, root=root),
+            [(1, 2, 3), (0, -1, 5), (Fraction(1, 2), 0, 4)],
+        )
+        for modulus, root in _PROJECT_FIELDS
+    ]
+    calls = []
+    div_mod = poly.div_mod
+    monkeypatch.setattr(poly, "div_mod", lambda *a: calls.append(a) or div_mod(*a))
+    for pl in lattices:
+        project(pl)
+    assert calls == []
 
 
 def test_field_frame_certifies_positivity():

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from conftest import fraction_extended_gcd, rng_for
+from conftest import fraction_extended_gcd, fraction_gcd, rng_for
 from jperron import polynomials as poly
 
 
@@ -67,6 +67,49 @@ def test_extended_gcd_matches_fraction_euclid():
         got = poly.extended_gcd(p, q)
         assert got == fraction_extended_gcd(p, q), (p, q)
         assert all(type(c) is Fraction for part in got for c in part)
+
+
+def test_gcd_matches_fraction_euclid():
+    rng = rng_for("poly-gcd-oracle")
+    cases = [
+        ((), ()),
+        ((), (Fraction(3, 2), 1)),
+        ((Fraction(-2, 3), 0, Fraction(5, 7)), ()),
+        ((Fraction(5, 3),), (Fraction(-7, 2),)),
+        ((Fraction(5, 3),), (1, 0, Fraction(1, 2))),
+        ((-2, 0, 0, 1), (0, 0, 3)),  # a cube and its derivative
+        ((6, -3, -2, 1), (-3, 0, 1)),  # (x - 2)(x^2 - 3) and x^2 - 3
+    ]
+    for _ in range(400):
+        p = _random_fraction_poly(rng, rng.randint(0, 6))
+        q = _random_fraction_poly(rng, rng.randint(0, 6))
+        shape = rng.randrange(5)
+        if shape == 1:
+            factor = (Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(1, 3)))
+            p, q = poly.mul(p, factor), poly.mul(q, factor)
+        elif shape == 2:
+            q = poly.mul(p, q)
+        elif shape == 3:
+            p = poly.mul(p, q)
+        elif shape == 4:
+            # integer input, as from a field modulus
+            p = poly.trim([rng.randint(-9, 9) for _ in range(rng.randint(1, 7))])
+            q = poly.derivative(p) if rng.randrange(2) else poly.mul(p, q)
+        cases.append((p, q))
+    for p, q in cases:
+        got = poly.gcd(p, q)
+        assert got == fraction_gcd(p, q), (p, q)
+        assert all(type(c) is Fraction for c in got)
+        assert got == poly.extended_gcd(p, q)[0]
+
+
+def test_gcd_makes_no_polynomial_division(monkeypatch):
+    calls = []
+    div_mod = poly.div_mod
+    monkeypatch.setattr(poly, "div_mod", lambda *a: calls.append(a) or div_mod(*a))
+    assert poly.gcd((-2, 0, 0, 1), (0, 0, 3)) == (Fraction(1),)
+    assert poly.gcd((6, -3, -2, 1), (-3, 0, 1)) == (Fraction(-3), 0, Fraction(1))
+    assert calls == []
 
 
 def test_square_free_part_collapses_multiplicity():

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from jperron.representation import (
     build_representation,
     common_tail,
     evaluate_word,
+    job_from_json,
     prefix_matrix,
     representation_to_json,
     verify,
@@ -336,6 +338,36 @@ def test_bounded_alignment_test_count(monkeypatch):
     assert al.offsets == (4,) * 8
     assert al.compared_depth == 40
     assert len(calls) <= 8 ** 2 * 25 ** 2
+
+
+def test_successful_alignment_skips_the_stream_zero_check(monkeypatch):
+    # the check that names a stream never aligning with stream 0 runs only
+    # when the search fails; before, it added 735 tests to the 2,100 below
+    calls = []
+    agree = representation_module._agree
+    monkeypatch.setattr(
+        representation_module, "_agree", lambda *a: calls.append(a) or agree(*a)
+    )
+    rng = rng_for("bounded-alignment-count")
+    shared = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(40)]
+    exps = [
+        _truncated([(9, 10 * i + j) for j in range(4)] + shared, rank=3)
+        for i in range(8)
+    ]
+    assert common_tail(exps, depth_budget=24).offsets == (4,) * 8
+    assert len(calls) == 2100
+
+
+def test_relation_exponents_are_bounded_by_the_digit_limit():
+    # each entry of a^k has about 0.88 k bits for this generator
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    a = [[0, 0, 1], [1, 0, 1], [0, 1, 1]]
+    job = {"theta": [1, "7/5", "11/5"], "generators": [{"name": "a", "matrix": a}]}
+    for k in (limit, -limit):
+        assert job_from_json(dict(job, relations=[[["a", k]]]))[2] == [[("a", k)]]
+    for k in (limit + 1, -limit - 1, 10 ** 9):
+        with pytest.raises(MalformedInput, match="relation exponent"):
+            job_from_json(dict(job, relations=[[["a", 2], ["a", k]]]))
 
 
 # ---------------------------------------------------------------- prefix_matrix
