@@ -202,6 +202,8 @@ def to_dot(diag, depth=None):
             depth = max(depth, diag.depth)
         else:
             depth = diag.depth
+    elif depth < 0:
+        raise MalformedInput("depth %d is negative" % depth)
     depth = int(min(depth, diag.expansion.available_depth()))
     n = diag.rank
     lines = ["digraph bratteli {", "  rankdir=LR;", '  node [shape=circle];',

@@ -624,6 +624,11 @@ def detect_period(subject, max_preperiod=16, max_period=16):
     the states stepped from ``theta`` (``states[0] is theta``), the search
     extends them instead of expanding ``theta`` again.
     """
+    if min(max_preperiod, max_period) < 0:
+        raise MalformedInput(
+            "period search budgets %d and %d must not be negative"
+            % (max_preperiod, max_period)
+        )
     if isinstance(subject, Expansion):
         return _detect_period_expansion(subject, max_preperiod, max_period)
     vec = ScalarVector.coerce(subject)

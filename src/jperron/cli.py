@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import bratteli as bratteli_mod
@@ -43,6 +42,24 @@ EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_INDETERMINATE = 2
 EXIT_NO_COMMON_TAIL = 3
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """``concurrent.futures.ProcessPoolExecutor``, imported on first call:
+    it pulls in ``multiprocessing``, which only an ``expand`` batch with
+    ``--jobs`` above 1 needs."""
+    from concurrent.futures import ProcessPoolExecutor as executor
+
+    return executor(*args, **kwargs)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are malformed input (exit 1),
+    not argparse's exit 2, which the CLI keeps for indeterminate
+    arithmetic.  Subparsers are made of the same class."""
+
+    def error(self, message):
+        raise MalformedInput(message)
 
 
 def _render(fn, *args, **kwargs):
@@ -190,7 +207,6 @@ def _expand_text(exp, payload):
 
 def cmd_bratteli(args):
     if args.compare:
-        decisions = []
         exps = []
         for path in args.compare:
             with open(path, "r", encoding="utf-8") as fh:
@@ -243,9 +259,7 @@ def _tail_text(decision):
 
 def cmd_represent(args):
     obj = _read_input(args)
-    if isinstance(obj, dict) and "generators" in obj:
-        theta, actions, relations = job_from_json(obj)
-    elif isinstance(obj, dict) and "blocks" in obj:
+    if isinstance(obj, dict) and "blocks" in obj and "generators" not in obj:
         exp = expansion_from_json(obj)
         if exp.theta is None:
             raise MalformedInput("expansion input carries no theta vector")
@@ -295,7 +309,7 @@ def cmd_genus(args):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jperron",
         description="Exact Jacobi-Perron expansions, Bratteli diagrams and "
         "unimodular representations of groups acting on expansion vectors.",
@@ -341,9 +355,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except MalformedInput as exc:
         _error("parse", str(exc), getattr(exc, "position", None))

@@ -81,10 +81,8 @@ class TailAlignment:
 
 
 def _canonical(exp):
-    if exp.tail.kind == PERIODIC:
-        pre, per = canonical_periodic(exp.blocks[:exp.tail.preperiod], exp.tail.period)
-        return list(pre), list(per)
-    return list(exp.blocks), None
+    pre, per = canonical_periodic(exp.blocks[:exp.tail.preperiod], exp.tail.period)
+    return list(pre), list(per)
 
 
 def _stream_block(pre, per, i):
@@ -143,6 +141,8 @@ def common_tail(expansions, depth_budget=16):
     suffix is a prefix of that one, so m streams cost at most
     m^2 (depth_budget + 1)^2 prefix tests.
     """
+    if depth_budget < 0:
+        raise MalformedInput("depth budget %d is negative" % depth_budget)
     exps = list(expansions)
     if not exps:
         raise MalformedInput("need at least one expansion")
@@ -326,9 +326,9 @@ class Representation:
         return self.matrices[name]
 
 
-def _reconstruction_entries(names, matrices, offsets, exps, images, theta, theta_max):
+def _reconstruction_entries(matrices, offsets, exps, images, theta, theta_max):
     entries = []
-    for name in names:
+    for name, a in matrices.items():
         image = images.get(name)
         if image is None:
             entries.append(
@@ -340,22 +340,21 @@ def _reconstruction_entries(names, matrices, offsets, exps, images, theta, theta
                 )
             )
             continue
-        ok_base = projectively_equal(
-            scalar_mat_vec(matrices[name], theta.entries), image.entries
-        )
-        ok_tail = True
+        ok_base = projectively_equal(scalar_mat_vec(a, theta.entries), image.entries)
+        ok_tail = "unchecked"  # there is no tail vector to map to the image
         if theta_max is not None:
             q = prefix_product(exps[name], offsets[name])
             ok_tail = projectively_equal(
                 scalar_mat_vec(q, theta_max.entries), image.entries
             )
+        ok = ok_base and ok_tail is not False
         entries.append(
             ReportEntry(
                 "reconstruction",
-                ok_base and ok_tail,
+                ok,
                 name,
                 "A*theta matches the image exactly"
-                if ok_base and ok_tail
+                if ok
                 else "image reconstruction failed (base %s, tail %s)"
                 % (ok_base, ok_tail),
             )
@@ -371,6 +370,8 @@ def build_representation(theta, actions, depth_budget=24):
     positive cone.  The certification level records whether the alignment
     rested on exact tail tags or only on depth-bounded data.
     """
+    if depth_budget < 0:
+        raise MalformedInput("depth budget %d is negative" % depth_budget)
     vec = ScalarVector.coerce(theta)
     if not all(e.is_exact() for e in vec.entries):
         raise MalformedInput("theta must be exact for representation building")
@@ -442,7 +443,7 @@ def build_representation(theta, actions, depth_budget=24):
         theta_max = exp_theta.states[theta_offset]
 
     entries = _reconstruction_entries(
-        names, matrices, offsets, exps, images, base, theta_max
+        matrices, offsets, exps, images, base, theta_max
     )
     if theta_max is None:
         entries.append(
@@ -510,11 +511,15 @@ def verify(rep, relations=(), aperiodicity_budget=16):
 
     Checks, in order: exact image reconstruction for every generator,
     every supplied relation word evaluating to the identity, periodicity
-    of the tail vector (a periodic tail voids the aperiodicity hypothesis
-    and downgrades faithfulness), fixed points of non-identity matrices
-    on the tail vector, and the free-action bookkeeping for generators
-    whose image equals the tail vector.  Nothing is assumed: every failed
-    check lands in the report.
+    of the tail vector, fixed points of non-identity matrices on the tail
+    vector, and the free-action bookkeeping for generators whose image
+    equals the tail vector.  Nothing is assumed: every failed check lands
+    in the report.
+
+    Faithfulness is read off the report: "not_guaranteed" without a tail
+    vector or when any entry other than a relation failed, else
+    conditional on aperiodicity (exact alignment) or depth-bounded.  A
+    relation is a question asked of the matrices; its entry answers it.
 
     The periodicity search on the tail vector extends the base run that
     ``build_representation`` already searched (its states from
@@ -523,22 +528,11 @@ def verify(rep, relations=(), aperiodicity_budget=16):
     verdict is the same either way.
     """
     ident = intmat.identity(rep.rank)
-    names = list(rep.matrices)
-    entries = list(
-        _reconstruction_entries(
-            names,
-            rep.matrices,
-            rep.offsets,
-            rep.expansions,
-            rep.images,
-            rep.theta,
-            rep.theta_max,
-        )
+    entries = _reconstruction_entries(
+        rep.matrices, rep.offsets, rep.expansions, rep.images, rep.theta, rep.theta_max
     )
-
     for idx, word in enumerate(relations):
-        value = evaluate_word(rep, word)
-        ok = intmat.mat_eq(value, ident)
+        ok = intmat.mat_eq(evaluate_word(rep, word), ident)
         entries.append(
             ReportEntry(
                 "relation",
@@ -547,10 +541,6 @@ def verify(rep, relations=(), aperiodicity_budget=16):
                 "relation %d %s" % (idx, "holds" if ok else "does NOT evaluate to I"),
             )
         )
-
-    stationary = None
-    aperiodic_within_budget = False
-    hypotheses_ok = True
     if rep.theta_max is None:
         entries.append(
             ReportEntry(
@@ -560,122 +550,90 @@ def verify(rep, relations=(), aperiodicity_budget=16):
                 "tail vector unavailable; aperiodicity unchecked",
             )
         )
-        hypotheses_ok = False
-    else:
-        verdict = detect_period(
-            _tail_subject(rep), aperiodicity_budget, aperiodicity_budget
+        return VerificationReport(tuple(entries), None, "not_guaranteed")
+
+    verdict = detect_period(
+        _tail_subject(rep), aperiodicity_budget, aperiodicity_budget
+    )
+    aperiodic = not verdict.is_periodic and verdict.kind != TERMINATED
+    if verdict.is_periodic:
+        message = (
+            "stationary: not in the aperiodic class (period %r certified "
+            "at preperiod %d)" % (list(verdict.period), verdict.preperiod)
         )
-        if verdict.is_periodic:
-            stationary = True
-            hypotheses_ok = False
+    elif verdict.kind == TERMINATED:
+        message = (
+            "tail vector is rationally dependent (terminated stream); "
+            "the aperiodicity hypothesis does not apply"
+        )
+    else:
+        message = "no period found up to depth %d (depth-bounded)" % verdict.depth
+    entries.append(ReportEntry("aperiodicity", aperiodic, None, message))
+
+    tail = rep.theta_max.entries
+
+    def fixes_tail(m):
+        return projectively_equal(scalar_mat_vec(m, tail), tail)
+
+    for nm, a in rep.matrices.items():
+        moves = not intmat.mat_eq(a, ident)
+        m = rep.supplied.get(nm)
+        supplied_moves = m is not None and not intmat.mat_eq(m, ident)
+        if moves and fixes_tail(a):
             entries.append(
                 ReportEntry(
-                    "aperiodicity",
+                    "fixes_theta_max",
                     False,
-                    None,
-                    "stationary: not in the aperiodic class (period %r certified "
-                    "at preperiod %d)" % (list(verdict.period), verdict.preperiod),
+                    nm,
+                    "computed matrix fixes the tail vector projectively",
                 )
             )
-        elif verdict.kind == TERMINATED:
-            stationary = False
-            hypotheses_ok = False
+            if aperiodic:
+                entries.append(
+                    ReportEntry(
+                        "internal_inconsistency",
+                        False,
+                        nm,
+                        "matrix fixes a tail vector that showed no period "
+                        "within budget; data or alignment is inconsistent",
+                    )
+                )
+        elif moves:
             entries.append(
                 ReportEntry(
-                    "aperiodicity",
-                    False,
-                    None,
-                    "tail vector is rationally dependent (terminated stream); "
-                    "the aperiodicity hypothesis does not apply",
+                    "fixed_point", True, nm, "matrix does not fix the tail vector"
                 )
             )
-        else:
-            stationary = False
-            aperiodic_within_budget = True
+        if supplied_moves and fixes_tail(m):
             entries.append(
                 ReportEntry(
-                    "aperiodicity",
-                    True,
-                    None,
-                    "no period found up to depth %d (depth-bounded)" % verdict.depth,
+                    "fixes_theta_max",
+                    False,
+                    nm,
+                    "supplied action fixes the tail vector projectively",
+                )
+            )
+        image = rep.images.get(nm)
+        if (moves or supplied_moves) and image is not None and (
+            projectively_equal(image.entries, tail)
+        ):
+            entries.append(
+                ReportEntry(
+                    "free_action",
+                    False,
+                    nm,
+                    "generator fixes the base algebra but is not the "
+                    "identity: the free-action hypothesis fails",
                 )
             )
 
-    if rep.theta_max is not None:
-        tail_entries = rep.theta_max.entries
-        for nm in names:
-            a = rep.matrices[nm]
-            computed_is_identity = intmat.mat_eq(a, ident)
-            if not computed_is_identity:
-                if projectively_equal(scalar_mat_vec(a, tail_entries), tail_entries):
-                    hypotheses_ok = False
-                    entries.append(
-                        ReportEntry(
-                            "fixes_theta_max",
-                            False,
-                            nm,
-                            "computed matrix fixes the tail vector projectively",
-                        )
-                    )
-                    if aperiodic_within_budget:
-                        entries.append(
-                            ReportEntry(
-                                "internal_inconsistency",
-                                False,
-                                nm,
-                                "matrix fixes a tail vector that showed no period "
-                                "within budget; data or alignment is inconsistent",
-                            )
-                        )
-                else:
-                    entries.append(
-                        ReportEntry(
-                            "fixed_point",
-                            True,
-                            nm,
-                            "matrix does not fix the tail vector",
-                        )
-                    )
-            m = rep.supplied.get(nm)
-            if m is not None and not intmat.mat_eq(m, ident):
-                if projectively_equal(scalar_mat_vec(m, tail_entries), tail_entries):
-                    hypotheses_ok = False
-                    entries.append(
-                        ReportEntry(
-                            "fixes_theta_max",
-                            False,
-                            nm,
-                            "supplied action fixes the tail vector projectively",
-                        )
-                    )
-            image = rep.images.get(nm)
-            if image is not None and projectively_equal(
-                image.entries, tail_entries
-            ):
-                acts_nontrivially = (
-                    m is not None and not intmat.mat_eq(m, ident)
-                ) or not computed_is_identity
-                if acts_nontrivially:
-                    hypotheses_ok = False
-                    entries.append(
-                        ReportEntry(
-                            "free_action",
-                            False,
-                            nm,
-                            "generator fixes the base algebra but is not the "
-                            "identity: the free-action hypothesis fails",
-                        )
-                    )
-
-    if not hypotheses_ok:
+    if any(not e.ok and e.kind != "relation" for e in entries):
         faithfulness = "not_guaranteed"
     elif rep.certification == EXACT:
         faithfulness = "conditional_on_aperiodicity"
     else:
         faithfulness = "conditional_depth_bounded"
-    return VerificationReport(
-        entries=tuple(entries), stationary=stationary, faithfulness=faithfulness
-    )
+    return VerificationReport(tuple(entries), verdict.is_periodic, faithfulness)
 
 
 def representation_to_json(rep):

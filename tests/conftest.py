@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import jperron
+from jperron import cli
 from jperron import polynomials as poly
+from jperron import representation as representation_module
 from jperron.bratteli import TailDecision
 from jperron.cf import (
     PERIODIC,
@@ -19,11 +22,23 @@ from jperron.cf import (
     jpa_expand,
     jpa_step,
 )
+from jperron.cf import projectively_equal, scalar_mat_vec
 from jperron.cli import _theta_from_obj
-from jperron.errors import MalformedInput, NoCommonTail, RankMismatch
-from jperron.intmat import check_unimodular, identity, mat_mul
+from jperron.errors import JperronError, MalformedInput, NoCommonTail, RankMismatch
+from jperron.intmat import check_unimodular, identity, mat_eq, mat_mul
 from jperron.lattices import ProjectivePseudoLattice
-from jperron.representation import DEPTH_BOUNDED, TailAlignment, verify
+from jperron.representation import (
+    DEPTH_BOUNDED,
+    EXACT,
+    ReportEntry,
+    TailAlignment,
+    VerificationReport,
+    _reconstruction_entries,
+    _tail_subject,
+    build_representation,
+    evaluate_word,
+    verify,
+)
 from jperron.scalars import (
     Ordering,
     ScalarVector,
@@ -246,6 +261,225 @@ def reference_verify(rep, relations=(), aperiodicity_budget=16):
     return verify(
         dataclasses.replace(rep, base_run=None), relations, aperiodicity_budget
     )
+
+
+# ------------------------------------------------------------ verify oracle
+# ``verify`` reads faithfulness off the report it builds.  ``flag_verify``
+# is the body it replaced, which threaded three flags to the verdict; the
+# two must agree on every entry and on ``stationary``, and on faithfulness
+# except where a reconstruction entry failed: the flags missed that failure
+# and left faithfulness conditional.
+
+
+def flag_verify(rep, relations=(), aperiodicity_budget=16):
+    """``verify`` with faithfulness decided by three flags."""
+    ident = identity(rep.rank)
+    names = list(rep.matrices)
+    entries = list(
+        _reconstruction_entries(
+            rep.matrices,
+            rep.offsets,
+            rep.expansions,
+            rep.images,
+            rep.theta,
+            rep.theta_max,
+        )
+    )
+
+    for idx, word in enumerate(relations):
+        value = evaluate_word(rep, word)
+        ok = mat_eq(value, ident)
+        entries.append(
+            ReportEntry(
+                "relation",
+                ok,
+                None,
+                "relation %d %s" % (idx, "holds" if ok else "does NOT evaluate to I"),
+            )
+        )
+
+    stationary = None
+    aperiodic_within_budget = False
+    hypotheses_ok = True
+    if rep.theta_max is None:
+        entries.append(
+            ReportEntry(
+                "aperiodicity",
+                True,
+                None,
+                "tail vector unavailable; aperiodicity unchecked",
+            )
+        )
+        hypotheses_ok = False
+    else:
+        verdict = detect_period(
+            _tail_subject(rep), aperiodicity_budget, aperiodicity_budget
+        )
+        if verdict.is_periodic:
+            stationary = True
+            hypotheses_ok = False
+            entries.append(
+                ReportEntry(
+                    "aperiodicity",
+                    False,
+                    None,
+                    "stationary: not in the aperiodic class (period %r certified "
+                    "at preperiod %d)" % (list(verdict.period), verdict.preperiod),
+                )
+            )
+        elif verdict.kind == TERMINATED:
+            stationary = False
+            hypotheses_ok = False
+            entries.append(
+                ReportEntry(
+                    "aperiodicity",
+                    False,
+                    None,
+                    "tail vector is rationally dependent (terminated stream); "
+                    "the aperiodicity hypothesis does not apply",
+                )
+            )
+        else:
+            stationary = False
+            aperiodic_within_budget = True
+            entries.append(
+                ReportEntry(
+                    "aperiodicity",
+                    True,
+                    None,
+                    "no period found up to depth %d (depth-bounded)" % verdict.depth,
+                )
+            )
+
+    if rep.theta_max is not None:
+        tail_entries = rep.theta_max.entries
+        for nm in names:
+            a = rep.matrices[nm]
+            computed_is_identity = mat_eq(a, ident)
+            if not computed_is_identity:
+                if projectively_equal(scalar_mat_vec(a, tail_entries), tail_entries):
+                    hypotheses_ok = False
+                    entries.append(
+                        ReportEntry(
+                            "fixes_theta_max",
+                            False,
+                            nm,
+                            "computed matrix fixes the tail vector projectively",
+                        )
+                    )
+                    if aperiodic_within_budget:
+                        entries.append(
+                            ReportEntry(
+                                "internal_inconsistency",
+                                False,
+                                nm,
+                                "matrix fixes a tail vector that showed no period "
+                                "within budget; data or alignment is inconsistent",
+                            )
+                        )
+                else:
+                    entries.append(
+                        ReportEntry(
+                            "fixed_point",
+                            True,
+                            nm,
+                            "matrix does not fix the tail vector",
+                        )
+                    )
+            m = rep.supplied.get(nm)
+            if m is not None and not mat_eq(m, ident):
+                if projectively_equal(scalar_mat_vec(m, tail_entries), tail_entries):
+                    hypotheses_ok = False
+                    entries.append(
+                        ReportEntry(
+                            "fixes_theta_max",
+                            False,
+                            nm,
+                            "supplied action fixes the tail vector projectively",
+                        )
+                    )
+            image = rep.images.get(nm)
+            if image is not None and projectively_equal(image.entries, tail_entries):
+                acts_nontrivially = (
+                    m is not None and not mat_eq(m, ident)
+                ) or not computed_is_identity
+                if acts_nontrivially:
+                    hypotheses_ok = False
+                    entries.append(
+                        ReportEntry(
+                            "free_action",
+                            False,
+                            nm,
+                            "generator fixes the base algebra but is not the "
+                            "identity: the free-action hypothesis fails",
+                        )
+                    )
+
+    if not hypotheses_ok:
+        faithfulness = "not_guaranteed"
+    elif rep.certification == EXACT:
+        faithfulness = "conditional_on_aperiodicity"
+    else:
+        faithfulness = "conditional_depth_bounded"
+    return VerificationReport(
+        entries=tuple(entries), stationary=stationary, faithfulness=faithfulness
+    )
+
+
+def assert_agrees_with_flag_verify(report, want):
+    assert report.entries == want.entries
+    assert report.stationary == want.stationary
+    if report.has_flag("reconstruction"):
+        assert report.faithfulness == "not_guaranteed"
+    else:
+        assert report.faithfulness == want.faithfulness
+
+
+# Every representation a test builds, and every ``verify`` call a test
+# makes (directly or through ``cli.main``), is logged here and checked
+# against ``flag_verify`` when the test ends.  The library's names are
+# wrapped at import, before the test modules import them.
+_VERIFY_LOG = []
+
+
+def _logged_build(*args, **kwargs):
+    rep = build_representation(*args, **kwargs)
+    _VERIFY_LOG.append((rep, (), 16, None))
+    return rep
+
+
+def _logged_verify(rep, relations=(), aperiodicity_budget=16):
+    relations = list(relations)
+    report = verify(rep, relations, aperiodicity_budget)
+    _VERIFY_LOG.append((rep, relations, aperiodicity_budget, report))
+    return report
+
+
+for _module in (jperron, representation_module, cli):
+    _module.build_representation = _logged_build
+    _module.verify = _logged_verify
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except JperronError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(autouse=True)
+def verify_agrees_with_flag_verify():
+    _VERIFY_LOG.clear()
+    yield
+    for rep, relations, budget, report in _VERIFY_LOG:
+        if report is None:
+            report = _outcome(verify, rep, relations, budget)
+        want = _outcome(flag_verify, rep, relations, budget)
+        if isinstance(want, tuple):
+            assert report == want
+        else:
+            assert_agrees_with_flag_verify(report, want)
+    _VERIFY_LOG.clear()
 
 
 # ---------------------------------------------------------------- references

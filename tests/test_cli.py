@@ -476,3 +476,48 @@ def test_malformed_json_numbers_are_parse_errors(command, obj, capsys):
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "parse"
+
+
+_JOB = json.dumps({
+    "theta": [1, "7/5", "11/5"],
+    "generators": [{"name": "g", "matrix": [[1, 0, 0], [0, 1, 0], [1, 1, 1]]}],
+})
+_EXPANSION = '{"rank": 3, "blocks": [[1, 2], [0, 2]], "tail": {"kind": "truncated"}}'
+_REJECTED_ARGS = {
+    "represent negative depth": ["represent", "--depth", "-1", "--theta", _JOB],
+    "represent negative period budget": ["represent", "--budget-period", "-3", "--theta", _JOB],
+    "compare negative offset budget": ["bratteli", "--compare", "A", "A", "--budget-preperiod", "-1"],
+    "dot negative depth": ["bratteli", "--format", "dot", "--depth", "-4", "--theta", _EXPANSION],
+    "non-integer option": ["expand", "--depth", "abc", "--theta", RATIONAL_THETA],
+    "no command": [],
+    "unknown command": ["nosuch"],
+    "unknown option": ["genus", "2", "--nosuch"],
+    "missing argument": ["genus"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_REJECTED_ARGS.values()), ids=list(_REJECTED_ARGS))
+def test_negative_budgets_and_usage_errors_exit_1(argv, tmp_path, capsys):
+    # negative budgets used to give bounded verdicts at negative depths or
+    # dangling edges, and usage errors exited 2, the code of indeterminate
+    # arithmetic
+    path = tmp_path / "a.json"
+    path.write_text(_EXPANSION)
+    code = cli.main([str(path) if arg == "A" else arg for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "parse"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["represent", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: jperron represent")
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only an expand batch with --jobs above 1 starts worker processes
+    code = "import jperron.cli, sys; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout == "False\n"

@@ -31,6 +31,7 @@ from jperron.errors import (
 from jperron.intmat import det, identity, inverse_unimodular, mat_mul, mat_eq
 from jperron.representation import (
     GeneratorAction,
+    ReportEntry,
     build_representation,
     common_tail,
     evaluate_word,
@@ -570,6 +571,71 @@ def test_verify_relations(tribonacci):
     # the passing fixed-point confirmation is part of the report
     fixed = [e for e in report.entries if e.kind == "fixed_point"]
     assert fixed and fixed[0].ok and fixed[0].generator == "g"
+
+
+def _cube_root_job():
+    """g^3 = 7 and theta = (1, g, g^2/2) with a generator whose computed
+    matrix does not map theta to its image: the exact check refutes it."""
+    root = {"poly": [-7, 0, 0, 1], "lo": [1, 1], "hi": [2, 1]}
+    return job_from_json({
+        "theta": [1, {"alg": root}, {"alg": dict(root, coeffs=[[0, 1], [0, 1], [1, 2]])}],
+        "generators": [{"name": "g", "matrix": [[0, 1, -1], [-1, 1, 0], [1, -1, 1]]}],
+    })
+
+
+def test_failed_reconstruction_voids_faithfulness():
+    theta, actions, relations = _cube_root_job()
+    rep = build_representation(theta, actions, depth_budget=4)
+    report = verify(rep, relations, aperiodicity_budget=4)
+    assert [e.message for e in report.failures()] == [
+        "image reconstruction failed (base False, tail False)"
+    ]
+    # the flags this rule replaced left it "conditional_depth_bounded"
+    assert rep.certification == "depth_bounded"
+    assert report.faithfulness == "not_guaranteed"
+
+
+def test_verify_without_a_tail_vector():
+    # the alignment consumes the whole terminated base stream, so there is
+    # no tail vector: verify stops after the relations
+    theta, actions, relations = job_from_json({
+        "theta": [1, "7/5", "11/5"],
+        "generators": [{"name": "g", "matrix": [[1, 0, 0], [0, 1, 0], [0, 2, 1]]}],
+        "relations": [[["g", 1], ["g", -1]]],
+    })
+    rep = build_representation(theta, actions)
+    assert rep.theta_max is None
+    assert rep.report.entries[-1].kind == "alignment"
+    report = verify(rep, relations)
+    assert report.stationary is None
+    assert report.faithfulness == "not_guaranteed"
+    assert [(e.kind, e.ok, e.message) for e in report.entries] == [
+        ("reconstruction", False, "image reconstruction failed (base False, tail unchecked)"),
+        ("relation", True, "relation 0 holds"),
+        ("aperiodicity", True, "tail vector unavailable; aperiodicity unchecked"),
+    ]
+
+
+def test_failed_relation_leaves_faithfulness_conditional():
+    # a relation is a question asked of the matrices; its entry answers it
+    rep = _quartic_representation(8)
+    commutator = [("a", 1), ("b", 1), ("a", -1), ("b", -1)]
+    report = verify(rep, relations=[commutator], aperiodicity_budget=16)
+    assert report.failures() == [
+        ReportEntry("relation", False, None, "relation 0 does NOT evaluate to I")
+    ]
+    assert report.faithfulness == "conditional_depth_bounded"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_representation(ScalarVector([rational(1), rational(7, 5)]), [], -1),
+    lambda: detect_period(ScalarVector([rational(1), rational(7, 5)]), -3, -3),
+    lambda: detect_period(ScalarVector([rational(1), rational(7, 5)]), 4, -1),
+    lambda: common_tail([periodic_exp([], [(1,)], 2)] * 2, depth_budget=-1),
+], ids=["build", "detect_period", "detect_period period", "common_tail"])
+def test_negative_budgets_are_malformed(call):
+    with pytest.raises(MalformedInput):
+        call()
 
 
 def test_verify_reports_internal_inconsistency():
