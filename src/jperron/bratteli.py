@@ -20,7 +20,6 @@ from .cf import (
     TERMINATED,
     TRUNCATED,
     Expansion,
-    canonical_periodic,
     detect_period,
     expansion_from_json,
     expansion_to_json,
@@ -162,35 +161,17 @@ class StationaryVerdict:
 
 def is_stationary(exp, max_preperiod=16, max_period=16):
     """Is the limit algebra stationary, i.e. is the stream eventually
-    periodic?  Terminated streams are finite, hence not stationary."""
-    if exp.tail.kind == PERIODIC:
-        pre, _per = canonical_periodic(
-            exp.blocks[:exp.tail.preperiod], exp.tail.period
-        )
-        return StationaryVerdict(
-            stationary=True,
-            periodic_from_start=(len(pre) == 0),
-            certified=True,
-            note="periodic tail",
-        )
-    if exp.tail.kind == TERMINATED:
-        return StationaryVerdict(
-            stationary=False,
-            certified=True,
-            note="terminated: a finite diagram is not an infinite periodic one",
-        )
+    periodic?  This is ``detect_period``'s verdict; terminated streams are
+    finite, hence not stationary."""
     verdict = detect_period(exp, max_preperiod, max_period)
-    if verdict.is_periodic:
-        return StationaryVerdict(
-            stationary=True,
-            periodic_from_start=(verdict.preperiod == 0),
-            certified=verdict.certified,
-            note=verdict.note,
-        )
+    note = verdict.note
+    if verdict.kind == "aperiodic_up_to":
+        note = "no period found up to depth %d" % verdict.depth
     return StationaryVerdict(
-        stationary=False,
-        certified=verdict.kind == TERMINATED and verdict.certified,
-        note="no period found up to depth %d" % verdict.depth,
+        stationary=verdict.is_periodic,
+        periodic_from_start=verdict.preperiod == 0 if verdict.is_periodic else None,
+        certified=verdict.certified,
+        note=note,
     )
 
 

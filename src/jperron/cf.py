@@ -28,7 +28,6 @@ from .errors import (
     NonPositiveState,
 )
 from .scalars import (
-    AlgebraicScalar,
     Ordering,
     RationalScalar,
     Scalar,
@@ -37,6 +36,7 @@ from .scalars import (
     floor_exact,
     int_from_json,
     rational,
+    refine,
     vector_from_json,
     vector_to_json,
 )
@@ -453,18 +453,16 @@ def euclid_chain(a, b):
 def euclid_gcd(values):
     """Gcd of two or more positive integers.
 
-    The two-argument case is the classical remainder chain; longer inputs
-    run the integer form of the Jacobi-Perron step (reduce every entry
+    Runs the integer form of the Jacobi-Perron step (reduce every entry
     modulo the head, then rotate the head to the back) until a single
-    value survives.
+    value survives; for two values this is the remainder chain of
+    ``euclid_chain``.
     """
     vals = [int(v) for v in values]
     if len(vals) < 2:
         raise EmptyInput("need at least two integers")
     if any(v <= 0 for v in vals):
         raise NonPositiveEntry("all entries must be positive")
-    if len(vals) == 2:
-        return euclid_chain(vals[0], vals[1])[0]
     while len(vals) > 1:
         while vals[0] != 0:
             head = vals[0]
@@ -504,7 +502,9 @@ def convergent(exp, k, bound_eps=Fraction(1, 10**15)):
     Returns (integer vector, bound); the bound is a rational upper bound
     on the sup-norm distance between the normalized convergent and the
     stored source vector, or None when no exact source is available or
-    the convergent cannot be normalized.
+    the convergent cannot be normalized.  Computing the bound refines
+    each source entry to width ``bound_eps``, which must be positive
+    (``MalformedInput`` otherwise).
     """
     p = prefix_product(exp, k)
     col = [row[-1] for row in p]
@@ -516,16 +516,10 @@ def convergent(exp, k, bound_eps=Fraction(1, 10**15)):
     ):
         bound = Fraction(0)
         for ci, ti in zip(col, exp.theta):
-            lo, hi = _refined_enclosure(ti, bound_eps)
+            lo, hi = refine(ti, bound_eps).enclosure()
             c = Fraction(ci, col[0])
             bound = max(bound, abs(c - lo), abs(c - hi))
     return col, bound
-
-
-def _refined_enclosure(x, eps):
-    if isinstance(x, AlgebraicScalar):
-        return x.enclosure(eps)
-    return x.enclosure()
 
 
 def canonical_periodic(preperiod_blocks, period):

@@ -316,35 +316,36 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_theta=True):
-        if with_theta:
-            p.add_argument("--theta", help="inline JSON array for the input vector")
+    def common(p, formats):
+        p.add_argument("--theta", help="inline JSON array for the input vector")
         p.add_argument("--input", help="input file path, or - for stdin")
-        p.add_argument(
-            "--mode",
-            choices=["rational", "algebraic", "interval"],
-            default="rational",
-            help="how bare numbers in the input are read",
-        )
-        p.add_argument("--format", choices=["json", "dot", "text"], default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--depth", type=int, default=24)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--budget-preperiod", type=int, default=16)
-        p.add_argument("--budget-period", type=int, default=16)
 
     p_expand = sub.add_parser("expand", help="Jacobi-Perron expansion of a vector")
-    common(p_expand)
+    common(p_expand, ["json", "text"])
+    p_expand.add_argument(
+        "--mode",
+        choices=["rational", "algebraic", "interval"],
+        default="rational",
+        help="how bare numbers in the input are read",
+    )
+    p_expand.add_argument("--jobs", type=int, default=1)
+    p_expand.add_argument("--budget-preperiod", type=int, default=16)
+    p_expand.add_argument("--budget-period", type=int, default=16)
     p_expand.set_defaults(func=cmd_expand)
 
     p_brat = sub.add_parser("bratteli", help="diagram export and tail comparison")
-    common(p_brat)
+    common(p_brat, ["json", "dot", "text"])
+    p_brat.add_argument("--budget-preperiod", type=int, default=16)
     p_brat.add_argument(
         "--compare", nargs=2, metavar=("A", "B"), help="two expansion JSON files"
     )
     p_brat.set_defaults(func=cmd_bratteli)
 
     p_rep = sub.add_parser("represent", help="build and audit a representation")
-    common(p_rep)
+    common(p_rep, ["json", "text"])
+    p_rep.add_argument("--budget-period", type=int, default=16)
     p_rep.set_defaults(func=cmd_represent)
 
     p_genus = sub.add_parser("genus", help="coordinate rank of a genus-g surface")

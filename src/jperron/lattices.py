@@ -11,7 +11,7 @@ symbolic frames cannot offer.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from . import intmat
@@ -27,6 +27,7 @@ from .scalars import (
     _elem_inverse,
     _elem_sign,
     _fraction_from_json,
+    _fraction_to_json,
     _reduced,
     _split,
     int_from_json,
@@ -262,44 +263,31 @@ class PplIsomorphism:
 def pl_isomorphic(p, q):
     """Equality of the two Z-modules, with a unimodular witness T such
     that act(T, p) == q when they coincide."""
-    _require_common_frame(p, q)
-    lp, lq = _integerized(p.vectors, q.vectors)
-    hp, up = intmat.hnf(lp)
-    hq, uq = intmat.hnf(lq)
-    if not intmat.mat_eq(hp, hq):
+    found = ppl_isomorphic(p, q)
+    if found.scale != 1:
         return PlIsomorphism(False)
-    w = intmat.mat_mul(intmat.inverse_unimodular(uq), up)
-    return PlIsomorphism(True, intmat.transpose(w))
+    return PlIsomorphism(True, found.witness)
 
 
 def ppl_isomorphic(p, q):
     """Equality up to a positive rational scale and unimodular basis change.
 
-    Returns the scale c and witness T with q = c * act(T, p); the scale is
-    read off matching Hermite pivots.
+    Returns the scale c and witness T with q = c * act(T, p).  Both row
+    sets are scaled to integers by the same column factors, so q's Hermite
+    form is c times p's; each form divided by the gcd of its entries must
+    match, and c is the ratio of the two gcds.
     """
     _require_common_frame(p, q)
-    dp = lcm(*[x.denominator for row in p.vectors for x in row])
-    dq = lcm(*[x.denominator for row in q.vectors for x in row])
-    lp = [[int(x * dp) for x in row] for row in p.vectors]
-    lq = [[int(x * dq) for x in row] for row in q.vectors]
+    lp, lq = _integerized(p.vectors, q.vectors)
     hp, up = intmat.hnf(lp)
     hq, uq = intmat.hnf(lq)
-    ratio = None
-    for rp, rq in zip(hp, hq):
-        for a, b in zip(rp, rq):
-            if (a == 0) != (b == 0):
-                return PplIsomorphism(False)
-            if a != 0 and ratio is None:
-                ratio = Fraction(b, a)
-    if ratio is None or ratio <= 0:
+    flat_p = [x for row in hp for x in row]
+    flat_q = [x for row in hq for x in row]
+    gp, gq = gcd(*flat_p), gcd(*flat_q)
+    if [x // gp for x in flat_p] != [x // gq for x in flat_q]:
         return PplIsomorphism(False)
-    for rp, rq in zip(hp, hq):
-        if any(Fraction(b, 1) != ratio * a for a, b in zip(rp, rq)):
-            return PplIsomorphism(False)
-    c = ratio * Fraction(dp, dq)
     w = intmat.mat_mul(intmat.inverse_unimodular(uq), up)
-    return PplIsomorphism(True, c, intmat.transpose(w))
+    return PplIsomorphism(True, Fraction(gq, gp), intmat.transpose(w))
 
 
 def pl_contains(p, q):
@@ -319,17 +307,12 @@ def genus_rank(g):
     return 2 if g == 1 else 6 * g - 6
 
 
-def _fraction_pair(x):
-    f = Fraction(x)
-    return [f.numerator, f.denominator]
-
-
 def frame_to_json(frame):
     out = {"frame": list(frame.symbols)}
     if frame.field is not None:
         lo, hi = frame.field.enclosure()
         out["modulus"] = list(frame.field.modulus)
-        out["root"] = {"lo": _fraction_pair(lo), "hi": _fraction_pair(hi)}
+        out["root"] = {"lo": _fraction_to_json(lo), "hi": _fraction_to_json(hi)}
     return out
 
 
@@ -350,7 +333,7 @@ def frame_from_json(obj):
 
 def lattice_to_json(pl):
     out = frame_to_json(pl.frame)
-    out["vectors"] = [[_fraction_pair(x) for x in row] for row in pl.vectors]
+    out["vectors"] = [[_fraction_to_json(x) for x in row] for row in pl.vectors]
     return out
 
 

@@ -80,11 +80,6 @@ class TailAlignment:
     compared_depth: Optional[int] = None
 
 
-def _canonical(exp):
-    pre, per = canonical_periodic(exp.blocks[:exp.tail.preperiod], exp.tail.period)
-    return list(pre), list(per)
-
-
 def _stream_block(pre, per, i):
     if i < len(pre):
         return pre[i]
@@ -172,7 +167,10 @@ def common_tail(expansions, depth_budget=16):
         )
         return TailAlignment(offsets, tail, EXACT, compared_depth=s)
     if kinds == {PERIODIC}:
-        streams = [_canonical(e) for e in exps]
+        streams = [
+            canonical_periodic(e.blocks[:e.tail.preperiod], e.tail.period)
+            for e in exps
+        ]
 
         def blocks_of(i, j):
             return _stream_block(streams[i][0], streams[i][1], j)

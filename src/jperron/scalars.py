@@ -296,10 +296,8 @@ class RationalScalar(Scalar):
             return RationalScalar(self.value / other.value)
         if isinstance(other, (int, Fraction)):
             return RationalScalar(self.value / Fraction(other))
-        if isinstance(other, AlgebraicScalar):
-            return AlgebraicScalar(other.field, (Fraction(self.value),)) / other
-        if isinstance(other, IntervalScalar):
-            return IntervalScalar(self.value, self.value) / other
+        if isinstance(other, Scalar):
+            return other.__rtruediv__(self.value)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -377,8 +375,12 @@ class AlgebraicScalar(Scalar):
         return _elem_sign(self.num, self.field)
 
     def enclosure(self, eps=None):
+        """Interval around the value, refined to width <= ``eps`` when
+        given (``eps`` must be positive)."""
         if eps is not None:
             eps = Fraction(eps)
+            if eps <= 0:
+                raise MalformedInput("eps must be positive")
         while True:
             lo, hi = self.field.enclosure()
             vlo, vhi = poly.evaluate_interval(self.num, lo, hi)

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import zlib
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,7 +10,7 @@ import jperron
 from jperron import cli
 from jperron import polynomials as poly
 from jperron import representation as representation_module
-from jperron.bratteli import TailDecision
+from jperron.bratteli import StationaryVerdict, TailDecision
 from jperron.cf import (
     PERIODIC,
     TERMINATED,
@@ -25,8 +26,21 @@ from jperron.cf import (
 from jperron.cf import projectively_equal, scalar_mat_vec
 from jperron.cli import _theta_from_obj
 from jperron.errors import JperronError, MalformedInput, NoCommonTail, RankMismatch
-from jperron.intmat import check_unimodular, identity, mat_eq, mat_mul
-from jperron.lattices import ProjectivePseudoLattice
+from jperron.intmat import (
+    check_unimodular,
+    hnf,
+    identity,
+    inverse_unimodular,
+    mat_eq,
+    mat_mul,
+    transpose,
+)
+from jperron.lattices import (
+    PlIsomorphism,
+    PplIsomorphism,
+    ProjectivePseudoLattice,
+    _integerized,
+)
 from jperron.representation import (
     DEPTH_BOUNDED,
     EXACT,
@@ -699,3 +713,83 @@ def reference_expand_one(theta_obj, mode, depth, pre_budget, per_budget):
             if exp.depth <= depth:
                 return exp
     return jpa_expand(theta, depth)
+
+
+# ------------------------------------------------- stationarity and lattices
+# ``bratteli.is_stationary`` is ``detect_period``'s verdict for every tail
+# kind, and ``lattices.pl_isomorphic`` is ``ppl_isomorphic`` at scale 1,
+# which compares the two Hermite forms each divided by the gcd of its
+# entries.  The functions below are the bodies they replaced: tagged tails
+# decided on their own, and each lattice scaled by its own lcm with the
+# scale read off the first non-zero Hermite pivot.
+
+
+def reference_is_stationary(exp, max_preperiod=16, max_period=16):
+    """``is_stationary`` with its own branches for periodic and terminated
+    tags."""
+    if exp.tail.kind == PERIODIC:
+        pre, _per = canonical_periodic(
+            exp.blocks[:exp.tail.preperiod], exp.tail.period
+        )
+        return StationaryVerdict(
+            stationary=True,
+            periodic_from_start=(len(pre) == 0),
+            certified=True,
+            note="periodic tail",
+        )
+    if exp.tail.kind == TERMINATED:
+        return StationaryVerdict(
+            stationary=False,
+            certified=True,
+            note="terminated: a finite diagram is not an infinite periodic one",
+        )
+    verdict = detect_period(exp, max_preperiod, max_period)
+    if verdict.is_periodic:
+        return StationaryVerdict(
+            stationary=True,
+            periodic_from_start=(verdict.preperiod == 0),
+            certified=verdict.certified,
+            note=verdict.note,
+        )
+    return StationaryVerdict(
+        stationary=False,
+        certified=verdict.kind == TERMINATED and verdict.certified,
+        note="no period found up to depth %d" % verdict.depth,
+    )
+
+
+def reference_pl_isomorphic(p, q):
+    """``pl_isomorphic`` as an equality test of the two Hermite forms."""
+    lp, lq = _integerized(p.vectors, q.vectors)
+    hp, up = hnf(lp)
+    hq, uq = hnf(lq)
+    if not mat_eq(hp, hq):
+        return PlIsomorphism(False)
+    w = mat_mul(inverse_unimodular(uq), up)
+    return PlIsomorphism(True, transpose(w))
+
+
+def reference_ppl_isomorphic(p, q):
+    """``ppl_isomorphic`` with each lattice scaled by its own lcm and the
+    scale read off matching Hermite pivots."""
+    dp = lcm(*[x.denominator for row in p.vectors for x in row])
+    dq = lcm(*[x.denominator for row in q.vectors for x in row])
+    lp = [[int(x * dp) for x in row] for row in p.vectors]
+    lq = [[int(x * dq) for x in row] for row in q.vectors]
+    hp, up = hnf(lp)
+    hq, uq = hnf(lq)
+    ratio = None
+    for rp, rq in zip(hp, hq):
+        for a, b in zip(rp, rq):
+            if (a == 0) != (b == 0):
+                return PplIsomorphism(False)
+            if a != 0 and ratio is None:
+                ratio = Fraction(b, a)
+    if ratio is None or ratio <= 0:
+        return PplIsomorphism(False)
+    for rp, rq in zip(hp, hq):
+        if any(Fraction(b, 1) != ratio * a for a, b in zip(rp, rq)):
+            return PplIsomorphism(False)
+    c = ratio * Fraction(dp, dq)
+    w = mat_mul(inverse_unimodular(uq), up)
+    return PplIsomorphism(True, c, transpose(w))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import reference_tail_equivalent, rng_for
+from conftest import reference_is_stationary, reference_tail_equivalent, rng_for
 from jperron.bratteli import (
     build_diagram,
     diagram_from_json,
@@ -16,6 +16,7 @@ from jperron.bratteli import (
     to_dot,
 )
 from jperron.cf import Expansion, Tail, detect_period, jpa_expand, primitive_period
+from jperron.scalars import ScalarVector, algebraic, rational
 from jperron.errors import DepthExceeded, MalformedInput, RankMismatch
 
 
@@ -286,6 +287,104 @@ def test_is_stationary_agrees_with_detect_period(tribonacci):
     v = is_stationary(exp)
     assert bool(v)
     assert detect_period(exp, 8, 8).is_periodic
+
+
+# The notes ``is_stationary`` takes from ``detect_period`` where its own
+# branches used to write them: (reference note, note now).
+_RENAMED_NOTES = {
+    ("periodic tail", "expansion carries a periodic tag"),
+    (
+        "terminated: a finite diagram is not an infinite periodic one",
+        "expansion carries a terminated tag",
+    ),
+}
+
+
+def _assert_matches_reference(exp, budgets=(16, 16)):
+    got = is_stationary(exp, *budgets)
+    want = reference_is_stationary(exp, *budgets)
+    assert got.stationary == want.stationary
+    assert got.periodic_from_start == want.periodic_from_start
+    assert got.certified == want.certified
+    if got.note != want.note:
+        if (want.note, got.note) not in _RENAMED_NOTES:
+            assert want.note.startswith("no period found up to depth")
+            assert got.note == "expansion terminated (rationally dependent input)"
+    return got, want
+
+
+def test_is_stationary_tagged_tails_match_reference():
+    rng = rng_for("stationary-tagged")
+    preperiods_from_start = 0
+    for _ in range(60):
+        rank = rng.randint(2, 4)
+        period = random_primitive_period(rng, rank)
+        prefix = [random_block(rng, rank) for _ in range(rng.randint(0, 3))]
+        if prefix and rng.random() < 0.5:
+            # a preperiod ending in the period's last block canonicalizes
+            prefix[-1] = period[-1]
+        got, _ = _assert_matches_reference(periodic_exp(prefix, period, rank))
+        assert got.note == "expansion carries a periodic tag"
+        preperiods_from_start += got.periodic_from_start
+        blocks = tuple(random_block(rng, rank) for _ in range(rng.randint(0, 4)))
+        got, _ = _assert_matches_reference(
+            Expansion(rank=rank, blocks=blocks, tail=Tail.terminated())
+        )
+        assert got.note == "expansion carries a terminated tag"
+    # the canonicalized preperiods include some that vanish entirely
+    assert preperiods_from_start > 0
+    v = is_stationary(periodic_exp([(1, 1)], [(2, 2), (1, 1)], 3))
+    assert v.periodic_from_start is True
+
+
+def test_is_stationary_rejects_negative_budgets_for_every_tail_kind():
+    # the budgets reach detect_period, which rejects them, also for tagged
+    # tails that the search never runs on
+    for exp in (
+        periodic_exp([], [(1, 1)], 3),
+        Expansion(rank=3, blocks=((1, 2),), tail=Tail.terminated()),
+        Expansion(rank=3, blocks=((1, 2),), tail=Tail.truncated()),
+    ):
+        with pytest.raises(MalformedInput):
+            is_stationary(exp, -1, 16)
+
+
+def test_is_stationary_truncated_exact_expansions_match_reference(tribonacci):
+    # degree 4 above rank 3: no recurrence in a short search
+    g = algebraic([-2, 0, 0, 0, 1], 1, 2)
+    cases = [
+        (tribonacci, 3, (8, 8)),  # periodic
+        ([1, Fraction(7, 5), Fraction(11, 5)], 1, (16, 16)),  # terminated
+        ([1, Fraction(355, 113)], 2, (16, 16)),  # terminated
+        (ScalarVector([rational(1), g, g * g]), 3, (3, 3)),
+    ]
+    notes = []
+    for theta, depth, budgets in cases:
+        exp = jpa_expand(theta, depth)
+        assert exp.tail.kind == "truncated"
+        got, _ = _assert_matches_reference(exp, budgets)
+        # the same theta without the stored states
+        bare = Expansion(exp.rank, exp.blocks, Tail.truncated(), theta=exp.theta)
+        assert is_stationary(bare, *budgets) == got
+        _assert_matches_reference(bare, budgets)
+        notes.append(got.note)
+    assert notes == [
+        "state recurrence certified exactly",
+        "expansion terminated (rationally dependent input)",
+        "expansion terminated (rationally dependent input)",
+        "no period found up to depth 6",
+    ]
+
+
+def test_is_stationary_truncated_digits_match_reference():
+    rng = rng_for("stationary-digits")
+    for _ in range(40):
+        rank = rng.randint(2, 4)
+        blocks = tuple(random_block(rng, rank) for _ in range(rng.randint(0, 6)))
+        exp = Expansion(rank=rank, blocks=blocks, tail=Tail.truncated())
+        got, want = _assert_matches_reference(exp)
+        assert got == want
+        assert got.note == "no period found up to depth %d" % len(blocks)
 
 
 # ---------------------------------------------------------------- export

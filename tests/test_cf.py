@@ -93,6 +93,19 @@ def test_euclid_errors():
         euclid_gcd([4, 0])
 
 
+def test_euclid_gcd_equals_math_gcd_for_two_to_five_values():
+    rng = rng_for("euclid-math-gcd")
+    for n in range(2, 6):
+        cases = [[1] * n, [7] * n, [1] + [12] * (n - 1), [12] * (n - 1) + [1]]
+        for _ in range(80):
+            vals = [rng.choice([1, rng.randint(1, 60), rng.randint(1, 10**9)]) for _ in range(n)]
+            if rng.random() < 0.3:
+                vals[rng.randrange(n)] = vals[0]
+            cases.append(vals)
+        for vals in cases:
+            assert euclid_gcd(vals) == math.gcd(*vals), vals
+
+
 # ---------------------------------------------------------------- regular cf
 
 
@@ -263,6 +276,18 @@ def test_convergent_depth_exceeded():
     e = jpa_expand([1, Fraction(7, 5), Fraction(11, 5)], 4)
     with pytest.raises(DepthExceeded):
         convergent(e, e.depth + 1)
+
+
+@pytest.mark.parametrize("eps", [0, -1, Fraction(-1, 10**9)])
+def test_convergent_rejects_a_non_positive_bound_precision(eps):
+    g = algebraic([-2, 0, 1], 1, 2)
+    with pytest.raises(MalformedInput, match="eps must be positive"):
+        convergent(jpa_expand([1, g], 5), 3, bound_eps=eps)
+    rational_exp = jpa_expand([1, Fraction(7, 5), Fraction(11, 5)], 4)
+    with pytest.raises(MalformedInput, match="eps must be positive"):
+        convergent(rational_exp, 2, bound_eps=eps)
+    # no bound is computed without an exact source, so eps is not read
+    assert convergent(Expansion(2, ((1,), (2,)), Tail.truncated()), 2, eps)[1] is None
 
 
 # ---------------------------------------------------------------- reconstruction laws

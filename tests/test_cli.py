@@ -521,3 +521,45 @@ def test_cli_import_leaves_multiprocessing_out():
     code = "import jperron.cli, sys; print('multiprocessing' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.stdout == "False\n"
+
+
+# flags a subcommand never read, and --format choices it printed as JSON
+_REMOVED_FLAGS = {
+    "represent --mode": ["represent", "--mode", "algebraic", "--theta", _JOB],
+    "represent --jobs": ["represent", "--jobs", "2", "--theta", _JOB],
+    "represent --budget-preperiod": ["represent", "--budget-preperiod", "4", "--theta", _JOB],
+    "represent --format dot": ["represent", "--format", "dot", "--theta", _JOB],
+    "bratteli --mode": ["bratteli", "--mode", "rational", "--theta", _EXPANSION],
+    "bratteli --jobs": ["bratteli", "--jobs", "1", "--theta", _EXPANSION],
+    "bratteli --budget-period": ["bratteli", "--compare", "A", "A", "--budget-period", "4"],
+    "expand --format dot": ["expand", "--format", "dot", "--theta", RATIONAL_THETA],
+}
+_KEPT_FLAGS = {
+    "represent": ["represent", "--depth", "8", "--budget-period", "4", "--format", "text",
+                  "--theta", _JOB],
+    "bratteli dot": ["bratteli", "--format", "dot", "--depth", "2", "--theta", _EXPANSION],
+    "bratteli compare": ["bratteli", "--compare", "A", "A", "--budget-preperiod", "3"],
+    "bratteli text": ["bratteli", "--format", "text", "--theta", _EXPANSION],
+    "expand": ["expand", "--mode", "interval", "--jobs", "1", "--budget-preperiod", "4",
+               "--budget-period", "4", "--format", "text", "--theta", RATIONAL_THETA],
+}
+
+
+def _main_with_file(argv, tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text(_EXPANSION)
+    code = cli.main([str(path) if arg == "A" else arg for arg in argv])
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", list(_REMOVED_FLAGS.values()), ids=list(_REMOVED_FLAGS))
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, capsys):
+    code, out, err = _main_with_file(argv, tmp_path, capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "parse"
+
+
+@pytest.mark.parametrize("argv", list(_KEPT_FLAGS.values()), ids=list(_KEPT_FLAGS))
+def test_flags_a_subcommand_reads_still_run(argv, tmp_path, capsys):
+    code, out, err = _main_with_file(argv, tmp_path, capsys)
+    assert code == 0 and out and err == ""

@@ -2,7 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fraction_project, fraction_rank, random_unimodular, rng_for
+from conftest import (
+    fraction_project,
+    fraction_rank,
+    random_positive_fraction,
+    random_unimodular,
+    reference_pl_isomorphic,
+    reference_ppl_isomorphic,
+    rng_for,
+)
 from jperron import polynomials as poly
 from jperron.errors import (
     FrameMismatch,
@@ -324,6 +332,87 @@ def test_pl_isomorphic_against_membership_oracle():
             _in_row_span(q_rows, v) for v in p_rows
         )
         assert verdict == oracle, (base.vectors, other.vectors)
+
+
+def _random_lattice(rng, frame, rank):
+    while True:
+        rows = [
+            [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(frame.dimension)]
+            for _ in range(rank)
+        ]
+        try:
+            return PseudoLattice(frame, rows)
+        except MalformedInput:
+            continue
+
+
+_ISO_FRAMES = [
+    CoordinateFrame(["1", "t", "t^2"]),
+    CoordinateFrame(["a", "b", "c", "d"]),
+    CoordinateFrame(["1", "g", "g^2"], modulus=[-2, 0, 0, 1], root=(1, 2)),
+    CoordinateFrame(["1", "g", "g^2"], modulus=[-1, 2, 0, 7], root=(0, 1)),
+]
+
+
+def test_pl_and_ppl_match_reference_on_random_pairs():
+    rng = rng_for("pl-ppl-reference")
+    related = isomorphic = 0
+    for trial in range(240):
+        frame = _ISO_FRAMES[trial % len(_ISO_FRAMES)]
+        rank = rng.randint(2, frame.dimension)
+        p = _random_lattice(rng, frame, rank)
+        if trial % 3 == 2:
+            q = _random_lattice(rng, frame, rank)
+        else:
+            related += 1
+            c = 1 if trial % 3 == 0 else random_positive_fraction(rng, 12, 12)
+            q = scale(c, act(random_unimodular(rng, rank), p))
+        got, want = ppl_isomorphic(p, q), reference_ppl_isomorphic(p, q)
+        assert (got.isomorphic, got.scale, got.witness) == (
+            want.isomorphic,
+            want.scale,
+            want.witness,
+        )
+        got, want = pl_isomorphic(p, q), reference_pl_isomorphic(p, q)
+        assert (got.isomorphic, got.witness) == (want.isomorphic, want.witness)
+        isomorphic += got.isomorphic
+    assert related == 160 and isomorphic >= 80
+
+
+def _random_projective(rng, frame):
+    head = (1,) + (0,) * (frame.dimension - 1)
+    while True:
+        rows = [head] + list(_random_lattice(rng, frame, frame.dimension).vectors[1:])
+        try:
+            PseudoLattice(frame, rows)
+        except MalformedInput:
+            continue
+        return ProjectivePseudoLattice(frame, rows)
+
+
+def test_ppl_matches_reference_on_projective_pairs():
+    rng = rng_for("ppl-projective-reference")
+    isomorphic = 0
+    for trial in range(60):
+        frame = _ISO_FRAMES[2 * (trial % 2)]
+        p = _random_projective(rng, frame)
+        t = random_unimodular(rng, frame.dimension)
+        for i in range(1, frame.dimension):
+            t[i][0] = 0
+        t[0][0] = 1
+        if trial % 2 == 0 and abs(det(t)) == 1:
+            moved = act(t, PseudoLattice(frame, p.vectors))
+            q = ProjectivePseudoLattice(frame, moved.vectors)
+        else:
+            q = _random_projective(rng, frame)
+        got, want = ppl_isomorphic(p, q), reference_ppl_isomorphic(p, q)
+        assert (got.isomorphic, got.scale, got.witness) == (
+            want.isomorphic,
+            want.scale,
+            want.witness,
+        )
+        isomorphic += got.isomorphic
+    assert isomorphic >= 5
 
 
 # ---------------------------------------------------------------- genus

@@ -156,6 +156,41 @@ def test_refine_rational_and_interval_noop():
     assert out is iv and out.width() == 1  # no oracle, returned unchanged
 
 
+@pytest.mark.parametrize("eps", [0, -1, Fraction(-1, 3)])
+def test_algebraic_enclosure_rejects_non_positive_eps(eps):
+    x = sqrt2()
+    before = x.field.enclosure()
+    with pytest.raises(MalformedInput, match="eps must be positive"):
+        x.enclosure(eps)
+    assert x.field.enclosure() == before
+    # a root pinned exactly is rejected the same way
+    pinned = algebraic([-4, 0, 1], 1, 3)
+    with pytest.raises(MalformedInput):
+        pinned.enclosure(eps)
+
+
+def test_rational_divided_by_field_element_or_interval():
+    rng = rng_for("rational-truediv")
+    fields = [sqrt2().field, algebraic([-1, 2, 0, 7], 0, 1).field]
+    for _ in range(60):
+        r = rational(rng.randint(-40, 40), rng.randint(1, 40))
+        field = fields[rng.randrange(2)]
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(field.degree)]
+        coeffs[-1] = coeffs[-1] or Fraction(1)
+        x = AlgebraicScalar(field, coeffs)
+        got = r / x
+        want = AlgebraicScalar(x.field, (Fraction(r.value),)) / x
+        assert (got.num, got.den, got.field) == (want.num, want.den, want.field)
+        lo = Fraction(rng.randint(1, 30), rng.randint(1, 9))
+        iv = interval(lo, lo + Fraction(rng.randint(0, 20), rng.randint(1, 9)))
+        for divisor in (iv, -iv):
+            got = r / divisor
+            want = IntervalScalar(r.value, r.value) / divisor
+            assert (got.lo, got.hi) == (want.lo, want.hi)
+    with pytest.raises(ZeroDivisionError):
+        rational(1) / interval(-1, 1)
+
+
 def test_interval_arithmetic():
     a = interval(1, 2)
     b = interval(Fraction(1, 2), 1)
