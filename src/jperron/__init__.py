@@ -14,11 +14,9 @@ from .bratteli import (
     to_dot,
 )
 from .cf import (
-    ConvergenceReport,
     Expansion,
     PeriodVerdict,
     Tail,
-    convergence_diagnostic,
     convergent,
     detect_period,
     euclid_chain,

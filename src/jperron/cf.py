@@ -374,12 +374,12 @@ def expand_certified(theta, depth, max_preperiod, max_period):
     with their states and a truncated tail, as ``jpa_expand`` gives them.
     Interval input is not searched and expands to ``depth``.
     """
-    return _certified_run(theta, depth, max_preperiod, max_period)[0]
+    return _certified_run(_positive_state(theta), depth, max_preperiod, max_period)[0]
 
 
-def _certified_run(theta, depth, max_preperiod, max_period):
-    """(``expand_certified`` result, the whole run it was cut from)."""
-    state = _positive_state(theta)
+def _certified_run(state, depth, max_preperiod, max_period):
+    """(``expand_certified`` result, the whole run it was cut from) for a
+    normalized positive state."""
     exact = all(e.is_exact() for e in state.entries)
     run = _expand(state, depth, max_preperiod + max_period if exact else 0)
     if run.tail.kind != TRUNCATED or run.depth <= depth:
@@ -631,64 +631,58 @@ def detect_period(subject, max_preperiod=16, max_period=16):
     return _period_verdict(vec.normalized(), max_preperiod + max_period)
 
 
+def _tail_verdict(exp, certified, terminated_note, periodic_note):
+    """The verdict of an expansion with a terminated or periodic tail, the
+    periodic tail in canonical form; ``certified`` applies to termination."""
+    if exp.tail.kind == TERMINATED:
+        return PeriodVerdict(
+            kind=TERMINATED,
+            depth=exp.depth,
+            certified=certified,
+            note=terminated_note,
+            expansion=exp,
+        )
+    pre, per = canonical_periodic(exp.blocks[:exp.tail.preperiod], exp.tail.period)
+    return PeriodVerdict(
+        kind=PERIODIC,
+        depth=exp.depth,
+        preperiod=len(pre),
+        period=tuple(per),
+        certified=True,
+        note=periodic_note,
+        expansion=exp,
+    )
+
+
 def _period_verdict(state, depth_budget, prefix=None):
     """The verdict of a ``depth_budget``-step search from a normalized
     state, extending ``prefix`` (see ``_expand``) when given."""
     exp = _expand(state, 0, depth_budget, prefix=prefix)
-    if exp.tail.kind == TERMINATED:
-        return PeriodVerdict(
-            kind=TERMINATED,
-            depth=exp.depth,
-            certified=all(e.is_exact() for e in state.entries),
-            note="expansion terminated (rationally dependent input)",
-            expansion=exp,
-        )
-    if exp.tail.kind == PERIODIC:
-        return PeriodVerdict(
-            kind=PERIODIC,
-            depth=exp.depth,
-            preperiod=exp.tail.preperiod,
-            period=exp.tail.period,
-            certified=True,
-            note="state recurrence certified exactly",
-            expansion=exp,
-        )
-    if exp.depth < depth_budget:
+    if exp.tail.kind == TRUNCATED:
+        # the search stops short of its budget only where a floor of
+        # interval data became indeterminate
         return PeriodVerdict(
             kind="aperiodic_up_to",
             depth=exp.depth,
-            certified=False,
-            note="floor became indeterminate; interval data exhausted",
+            note="floor became indeterminate; interval data exhausted"
+            if exp.depth < depth_budget
+            else "no exact recurrence within the searched depth",
         )
-    return PeriodVerdict(
-        kind="aperiodic_up_to",
-        depth=depth_budget,
-        certified=False,
-        note="no exact recurrence within the searched depth",
+    return _tail_verdict(
+        exp,
+        all(e.is_exact() for e in state.entries),
+        "expansion terminated (rationally dependent input)",
+        "state recurrence certified exactly",
     )
 
 
 def _detect_period_expansion(exp, max_preperiod, max_period):
-    if exp.tail.kind == TERMINATED:
-        return PeriodVerdict(
-            kind=TERMINATED,
-            depth=exp.depth,
-            certified=True,
-            note="expansion carries a terminated tag",
-            expansion=exp,
-        )
-    if exp.tail.kind == PERIODIC:
-        pre, per = canonical_periodic(
-            exp.blocks[:exp.tail.preperiod], exp.tail.period
-        )
-        return PeriodVerdict(
-            kind=PERIODIC,
-            depth=exp.depth,
-            preperiod=len(pre),
-            period=tuple(per),
-            certified=True,
-            note="expansion carries a periodic tag",
-            expansion=exp,
+    if exp.tail.kind != TRUNCATED:
+        return _tail_verdict(
+            exp,
+            True,
+            "expansion carries a terminated tag",
+            "expansion carries a periodic tag",
         )
     if exp.theta is not None and all(e.is_exact() for e in exp.theta):
         if exp.states and exp.states[0] is exp.theta:
@@ -697,75 +691,8 @@ def _detect_period_expansion(exp, max_preperiod, max_period):
     return PeriodVerdict(
         kind="aperiodic_up_to",
         depth=exp.depth,
-        certified=False,
         note="truncated digit data cannot certify periodicity",
     )
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Projective contraction diagnostic for the partial matrix products."""
-
-    depth: int
-    diameters: tuple
-    verdict: str
-    threshold: float
-
-    CONTRACTING = "contracting"
-    NON_CONTRACTING = "non_contracting"
-    INCONCLUSIVE = "inconclusive"
-
-
-def _hilbert_diameter(m):
-    """Largest Hilbert projective distance between column pairs of a
-    non-negative matrix; infinite when supports differ."""
-    n = len(m)
-    cols = [[m[i][j] for i in range(n)] for j in range(n)]
-    worst = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            u, v = cols[a], cols[b]
-            if any((x == 0) != (y == 0) for x, y in zip(u, v)):
-                return math.inf
-            r1 = max((Fraction(x, y) for x, y in zip(u, v) if y), default=None)
-            r2 = max((Fraction(y, x) for x, y in zip(u, v) if x), default=None)
-            if r1 is None or r2 is None:
-                continue
-            prod = r1 * r2
-            d = math.log(prod.numerator) - math.log(prod.denominator)
-            worst = max(worst, d)
-    return worst
-
-
-def convergence_diagnostic(exp, threshold=1e-8, depth=None):
-    """Per-depth projective diameters of the partial products.
-
-    Contracting when the final diameter drops below ``threshold``;
-    non-contracting when positivity is structurally blocked (the zero
-    pattern of the product cycles without ever filling in).
-    """
-    if depth is None:
-        if exp.tail.kind == PERIODIC:
-            depth = exp.tail.preperiod + 3 * len(exp.tail.period)
-            depth = max(depth, exp.depth)
-        else:
-            depth = exp.depth
-    depth = int(min(depth, exp.available_depth()))
-    if depth < 1:
-        return ConvergenceReport(0, (), ConvergenceReport.INCONCLUSIVE, threshold)
-    diameters = []
-    patterns = []
-    p = intmat.identity(exp.rank)
-    for i in range(depth):
-        p = _times_step(p, exp.block_at(i))
-        diameters.append(_hilbert_diameter(p))
-        patterns.append(tuple(tuple(x != 0 for x in row) for row in p))
-    verdict = ConvergenceReport.INCONCLUSIVE
-    if diameters[-1] <= threshold:
-        verdict = ConvergenceReport.CONTRACTING
-    elif math.isinf(diameters[-1]) and patterns[-1] in patterns[:-1]:
-        verdict = ConvergenceReport.NON_CONTRACTING
-    return ConvergenceReport(depth, tuple(diameters), verdict, threshold)
 
 
 def expansion_to_json(exp, include_theta=True):

@@ -203,8 +203,10 @@ def project(pl):
     if frame.field is not None:
         inum, iden = _split(_elem_inverse(head, frame.field))
         pad = (Fraction(0),) * frame.dimension
-        new = []
-        for v in pl.vectors:
+        # lambda_1 / lambda_1 = 1 even where lambda_1 is a zero divisor, whose
+        # inverse is taken modulo a factor of a reducible modulus
+        new = [(Fraction(1),) + pad[1:]]
+        for v in pl.vectors[1:]:
             vnum, vden = _split(v)
             num, den = _reduced(frame.field.modulus, poly.mul(vnum, inum), vden * iden)
             new.append(tuple(Fraction(c, den) for c in num) + pad[len(num):])

@@ -27,7 +27,6 @@ from .cf import (
     _certified_run,
     canonical_periodic,
     detect_period,
-    expand_certified,
     expansion_from_json,
     prefix_product,
     projectively_equal,
@@ -93,7 +92,7 @@ def _rotation_index(reference, candidate):
     return None
 
 
-def _periodic_alignment(streams, blocks_of):
+def _periodic_alignment(streams):
     """Minimal-total-offset alignment of canonical periodic streams."""
     pres = [s[0] for s in streams]
     pers = [s[1] for s in streams]
@@ -113,7 +112,7 @@ def _periodic_alignment(streams, blocks_of):
             for pre, rot in zip(pres, rotations)
         ]
         while all(c > 0 for c in cuts):
-            previous = [blocks_of(i, cuts[i] - 1) for i in range(len(cuts))]
+            previous = [_stream_block(p, q, c - 1) for p, q, c in zip(pres, pers, cuts)]
             if any(b != previous[0] for b in previous):
                 break
             cuts = [c - 1 for c in cuts]
@@ -171,14 +170,10 @@ def common_tail(expansions, depth_budget=16):
             canonical_periodic(e.blocks[:e.tail.preperiod], e.tail.period)
             for e in exps
         ]
-
-        def blocks_of(i, j):
-            return _stream_block(streams[i][0], streams[i][1], j)
-
-        cuts = _periodic_alignment(streams, blocks_of)
+        cuts = _periodic_alignment(streams)
         pre0, per0 = streams[0]
         c0 = cuts[0]
-        raw_pre = [blocks_of(0, i) for i in range(c0, max(c0, len(pre0)))]
+        raw_pre = pre0[c0:]
         shift = max(0, c0 - len(pre0)) % len(per0)
         raw_per = per0[shift:] + per0[:shift]
         tail_pre, tail_per = canonical_periodic(raw_pre, raw_per)
@@ -271,10 +266,7 @@ class VerificationReport:
 
     def has_flag(self, kind, generator=None):
         return any(
-            e.kind == kind
-            and not e.ok
-            and (generator is None or e.generator == generator)
-            for e in self.entries
+            generator is None or e.generator == generator for e in self.failures(kind)
         )
 
     @property
@@ -406,9 +398,9 @@ def build_representation(theta, actions, depth_budget=24):
                     "generator %r maps theta outside the positive cone" % a.name
                 )
             img_vec = img_vec.normalized()
-            exps[a.name] = expand_certified(
+            exps[a.name] = _certified_run(
                 img_vec, depth_budget, depth_budget, depth_budget
-            )
+            )[0]
             images[a.name] = img_vec
             supplied[a.name] = a.matrix
         else:

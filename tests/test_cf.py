@@ -18,7 +18,6 @@ from jperron import polynomials as poly
 from jperron.cf import (
     Expansion,
     Tail,
-    convergence_diagnostic,
     convergent,
     detect_period,
     euclid_chain,
@@ -468,31 +467,6 @@ def test_periodic_tag_must_be_primitive_and_consistent():
         Expansion(rank=3, blocks=((1, 1), (2, 2)), tail=Tail.periodic(0, [(1, 1)]))
 
 
-# ---------------------------------------------------------------- diagnostics
-
-
-def test_diagnostic_contracting(tribonacci):
-    e = jpa_expand(tribonacci, 30)
-    report = convergence_diagnostic(e)
-    assert report.verdict == "contracting"
-    finite = [d for d in report.diameters if not math.isinf(d)]
-    assert all(b < a for a, b in zip(finite, finite[1:]))
-
-
-def test_diagnostic_depth_zero():
-    e = jpa_expand([1, Fraction(7, 5), Fraction(11, 5)], 0)
-    report = convergence_diagnostic(e)
-    assert report.verdict == "inconclusive"
-    assert report.diameters == ()
-
-
-def test_diagnostic_zero_blocks_never_mix():
-    e = Expansion(rank=3, blocks=((0, 0),) * 6, tail=Tail.periodic(0, [(0, 0)]))
-    report = convergence_diagnostic(e, depth=6)
-    assert report.verdict == "non_contracting"
-    assert all(math.isinf(d) for d in report.diameters)
-
-
 # ---------------------------------------------------------------- json
 
 
@@ -620,7 +594,6 @@ def test_rational_paths_never_call_the_scalar_step(monkeypatch):
     e = jpa_expand([1, Fraction(7, 5), Fraction(11, 5)], 32)
     assert e.blocks == ((1, 2), (0, 2), (1, 2))
     assert prefix_product(e, e.depth) == [[1, 2, 5], [1, 3, 7], [2, 4, 11]]
-    assert convergence_diagnostic(e).depth == 3
     verdict = detect_period(ScalarVector([1, Fraction(7, 5), Fraction(11, 5)]), 8, 8)
     assert verdict.kind == "terminated" and verdict.expansion.blocks == e.blocks
     verdict = detect_period(ScalarVector([1, Fraction(10946, 6765)]), 2, 2)
@@ -793,19 +766,6 @@ def test_prefix_product_matches_matrix_fold():
         exp = Expansion(rank=rank, blocks=tuple(blocks), tail=Tail.truncated())
         for k in range(len(blocks) + 1):
             assert prefix_product(exp, k) == _naive_prefix(rank, blocks[:k])
-
-
-def test_diagnostic_unchanged_on_periodic_fixture(tribonacci):
-    exp = detect_period(tribonacci, 8, 8).expansion
-    for depth, verdict in ((None, "inconclusive"), (30, "contracting")):
-        report = convergence_diagnostic(exp, depth=depth)
-        assert report.verdict == verdict
-        expected = tuple(
-            cf_module._hilbert_diameter(_naive_prefix(3, exp.realize(k)))
-            for k in range(1, report.depth + 1)
-        )
-        assert report.diameters == expected
-    assert convergence_diagnostic(exp).depth == 3
 
 
 # ---------------------------------------------------------------- field step

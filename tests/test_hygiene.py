@@ -2,7 +2,9 @@
 module: no module imports a name it never uses, and no module-level
 private function or class is left without a reference.  A second copy
 of a decision tends to leave exactly these behind when the first copy
-takes over."""
+takes over.  The package is also kept exact: no float literal, no
+inexact ``math`` function, and ``float(...)`` only where the recurrence
+search rounds an enclosure outward and as the infinite sentinel."""
 
 import ast
 from pathlib import Path
@@ -86,3 +88,65 @@ def test_the_scan_sees_the_package():
     expected = {"cf", "bratteli", "lattices", "representation", "scalars", "cli"}
     assert expected <= set(MODULES)
     assert len(list(_private_definitions())) > 20
+
+
+def _inexact_math(name):
+    return name.startswith("log") or name in ("exp", "sqrt", "pow")
+
+
+def _float_uses(tree):
+    """(enclosing module-level definition, line, what) for every float
+    literal, inexact ``math`` function and ``float(...)`` call in ``tree``;
+    ``float("inf")`` is exact and left out."""
+    math_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "math"
+    }
+    sentinel = ast.dump(ast.Constant("inf"))
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                yield owner, node.lineno, "float literal"
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                if any(_inexact_math(alias.name) for alias in node.names):
+                    yield owner, node.lineno, "inexact math import"
+            elif isinstance(node, ast.Call):
+                f = node.func
+                if (
+                    isinstance(f, ast.Attribute)
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id in math_names
+                    and _inexact_math(f.attr)
+                ):
+                    yield owner, node.lineno, "math.%s call" % f.attr
+                elif isinstance(f, ast.Name) and f.id == "float":
+                    if [ast.dump(a) for a in node.args] != [sentinel]:
+                        yield owner, node.lineno, "float() call"
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_inexact_arithmetic(module):
+    found = [
+        use
+        for use in _float_uses(MODULES[module])
+        if (module, use[0], use[2]) != ("cf", "_outward", "float() call")
+    ]
+    assert found == []
+
+
+def test_the_exactness_scan_sees_floats():
+    tree = ast.parse(
+        "import math as m\nfrom math import log2\n"
+        "def f(x):\n    return m.sqrt(x) + 0.5 + float(x) + float('inf')\n"
+    )
+    assert sorted(what for _, _, what in _float_uses(tree)) == [
+        "float literal",
+        "float() call",
+        "inexact math import",
+        "math.sqrt call",
+    ]
+    assert {what for _, _, what in _float_uses(MODULES["cf"])} == {"float() call"}

@@ -456,6 +456,24 @@ def test_nonpositive_image_rejected(tribonacci):
         build_representation(tribonacci, [GeneratorAction("b", matrix=bad)])
 
 
+def test_build_checks_each_vector_positive_once(tribonacci, monkeypatch):
+    calls = []
+    is_positive = ScalarVector.is_positive
+
+    def counting(vec):
+        calls.append(vec)
+        return is_positive(vec)
+
+    monkeypatch.setattr(ScalarVector, "is_positive", counting)
+    for k in range(4):
+        actions = [
+            GeneratorAction("g%d" % i, matrix=step_matrix((i, i + 1))) for i in range(k)
+        ]
+        calls.clear()
+        build_representation(tribonacci, actions, depth_budget=6)
+        assert len(calls) == 1 + k  # theta and each image
+
+
 def test_generator_action_validation():
     with pytest.raises(MalformedInput):
         GeneratorAction("x")
