@@ -159,11 +159,11 @@ class StationaryVerdict:
         return self.stationary
 
 
-def is_stationary(exp, max_preperiod=16, max_period=16):
+def is_stationary(exp, budget=32):
     """Is the limit algebra stationary, i.e. is the stream eventually
-    periodic?  This is ``detect_period``'s verdict; terminated streams are
-    finite, hence not stationary."""
-    verdict = detect_period(exp, max_preperiod, max_period)
+    periodic?  This is ``detect_period``'s verdict within ``budget`` steps;
+    terminated streams are finite, hence not stationary."""
+    verdict = detect_period(exp, budget)
     note = verdict.note
     if verdict.kind == "aperiodic_up_to":
         note = "no period found up to depth %d" % verdict.depth

@@ -247,7 +247,7 @@ def _all_rational(state):
     return all(isinstance(e, RationalScalar) for e in state.entries)
 
 
-def _rational_expand(state, max_depth, keep_states=True):
+def _rational_expand(state, max_depth):
     """``jpa_expand`` of a normalized all-rational state, in integers.
 
     Scaled once to the common denominator, the state is an integer vector
@@ -279,14 +279,13 @@ def _rational_expand(state, max_depth, keep_states=True):
             residual = tuple(rational(r, head) for r in rest) + (one,)
             break
         vec = [*rest, head]
-        if keep_states:
-            states.append(ScalarVector([one] + [Fraction(v, rest[0]) for v in vec[1:]]))
+        states.append(ScalarVector([one] + [Fraction(v, rest[0]) for v in vec[1:]]))
     return Expansion(
         rank=state.rank,
         blocks=tuple(blocks),
         tail=tail,
         theta=state,
-        states=tuple(states) if keep_states else None,
+        states=tuple(states),
         residual=residual,
     )
 
@@ -301,7 +300,15 @@ def _positive_state(theta):
     return vec.normalized()
 
 
-def _expand(state, depth, search=0, keep_states=True, prefix=None):
+def _stepped(exp):
+    """Mark ``exp`` as stepped from its ``theta`` by ``_expand``, so a period
+    search may replay its states.  ``dataclasses.replace`` builds a new
+    instance, which does not carry the mark."""
+    object.__setattr__(exp, "_stepped", True)
+    return exp
+
+
+def _expand(state, depth, search=0, prefix=None):
     """The Jacobi-Perron loop from a normalized state, for ``jpa_expand``,
     ``detect_period`` and ``expand_certified``.
 
@@ -309,15 +316,15 @@ def _expand(state, depth, search=0, keep_states=True, prefix=None):
     rational state runs in integers.  In the first ``search`` steps an
     exact state that recurs stops it with a certified periodic tail.  An
     indeterminate floor is raised within the first ``depth`` steps; after
-    them it stops the loop, leaving a truncated tail.  ``prefix``, an
-    expansion already stepped from ``state`` with its states, is replayed
-    block by block and searched as if stepped again; ``jpa_step`` runs only
-    past it.  A rational state needs no search, so its kernel starts over.
+    them it stops the loop, leaving a truncated tail.  ``prefix``, a run
+    marked ``_stepped`` from ``state``, is replayed block by block and
+    searched as if stepped again; ``jpa_step`` runs only past it.  A
+    rational state needs no search, so its kernel starts over.
     """
     if _all_rational(state):
         # a rational state never recurs: the integer heads strictly
         # decrease and the unimodular steps keep the gcd of the vector
-        return _rational_expand(state, max(depth, search), keep_states)
+        return _stepped(_rational_expand(state, max(depth, search)))
     exact = all(e.is_exact() for e in state.entries)
     replay = 0 if prefix is None else min(len(prefix.blocks), len(prefix.states) - 1)
     states = [state]
@@ -349,39 +356,45 @@ def _expand(state, depth, search=0, keep_states=True, prefix=None):
             # P maps onto states[j], would equal it and recur earlier
             tail = Tail.periodic(j, blocks[j:])
             break
-    return Expansion(
+    return _stepped(Expansion(
         rank=state.rank,
         blocks=tuple(blocks),
         tail=tail,
         theta=states[0],
-        states=tuple(states) if keep_states else None,
+        states=tuple(states),
         residual=residual,
-    )
+    ))
 
 
-def jpa_expand(theta, max_depth, keep_states=True):
+def jpa_expand(theta, max_depth):
     """Expand a positive vector for up to ``max_depth`` digit blocks."""
-    return _expand(_positive_state(theta), max_depth, keep_states=keep_states)
+    return _expand(_positive_state(theta), max_depth)
 
 
-def expand_certified(theta, depth, max_preperiod, max_period):
+def _check_budget(budget):
+    if budget < 0:
+        raise MalformedInput("period search budget %d is negative" % budget)
+
+
+def expand_certified(theta, depth, budget):
     """Expand a positive vector once, certifying its tail when possible.
 
-    Exact input runs max(depth, max_preperiod + max_period) steps and is
-    searched for state recurrence during the first max_preperiod +
-    max_period of them.  A periodic or terminated expansion found in
-    those steps is returned whole; otherwise the result is the first ``depth`` blocks
-    with their states and a truncated tail, as ``jpa_expand`` gives them.
-    Interval input is not searched and expands to ``depth``.
+    Exact input runs max(depth, budget) steps and is searched for state
+    recurrence during the first ``budget`` of them.  A periodic or
+    terminated expansion found in those steps is returned whole;
+    otherwise the result is the first ``depth`` blocks with their states
+    and a truncated tail, as ``jpa_expand`` gives them.  Interval input is
+    not searched and expands to ``depth``.
     """
-    return _certified_run(_positive_state(theta), depth, max_preperiod, max_period)[0]
+    _check_budget(budget)
+    return _certified_run(_positive_state(theta), depth, budget)[0]
 
 
-def _certified_run(state, depth, max_preperiod, max_period):
+def _certified_run(state, depth, budget):
     """(``expand_certified`` result, the whole run it was cut from) for a
     normalized positive state."""
     exact = all(e.is_exact() for e in state.entries)
-    run = _expand(state, depth, max_preperiod + max_period if exact else 0)
+    run = _expand(state, depth, budget if exact else 0)
     if run.tail.kind != TRUNCATED or run.depth <= depth:
         return run, run
     exp = Expansion(
@@ -391,7 +404,7 @@ def _certified_run(state, depth, max_preperiod, max_period):
         theta=run.theta,
         states=run.states[:depth + 1],
     )
-    return exp, run
+    return _stepped(exp), run
 
 
 def regular_cf(x, max_depth):
@@ -606,29 +619,26 @@ def _find_recurrence(states, boxes, candidate):
     return None
 
 
-def detect_period(subject, max_preperiod=16, max_period=16):
+def detect_period(subject, budget=32):
     """Certified periodicity detection for exact vectors and expansions.
 
-    For an exact (rational/algebraic) vector the verdict rests on exact
-    recurrence of the expansion state, which also certifies the primitive
-    period.  Terminated means the input was rationally dependent.  When
-    nothing recurs within the searched depth the verdict is an honest
-    "aperiodic up to depth", never a certificate.  A truncated expansion
-    with exact ``theta`` gets the verdict of its ``theta``; when it holds
-    the states stepped from ``theta`` (``states[0] is theta``), the search
-    extends them instead of expanding ``theta`` again.
+    The search takes at most ``budget`` steps.  For an exact
+    (rational/algebraic) vector the verdict rests on exact recurrence of
+    the expansion state, which also certifies the primitive period.
+    Terminated means the input was rationally dependent.  When nothing
+    recurs within the searched depth the verdict is an honest "aperiodic
+    up to depth", never a certificate.  A truncated expansion with exact
+    ``theta`` gets the verdict of its ``theta``; when it is a run that
+    ``_expand`` stepped from ``theta`` and nobody rebuilt, the search
+    extends its states instead of expanding ``theta`` again.
     """
-    if min(max_preperiod, max_period) < 0:
-        raise MalformedInput(
-            "period search budgets %d and %d must not be negative"
-            % (max_preperiod, max_period)
-        )
+    _check_budget(budget)
     if isinstance(subject, Expansion):
-        return _detect_period_expansion(subject, max_preperiod, max_period)
+        return _detect_period_expansion(subject, budget)
     vec = ScalarVector.coerce(subject)
     if not vec[0].sign():  # zero, or an interval containing zero
         raise NonPositiveState("cannot divide by the leading entry %r" % (vec[0],))
-    return _period_verdict(vec.normalized(), max_preperiod + max_period)
+    return _period_verdict(vec.normalized(), budget)
 
 
 def _tail_verdict(exp, certified, terminated_note, periodic_note):
@@ -676,7 +686,7 @@ def _period_verdict(state, depth_budget, prefix=None):
     )
 
 
-def _detect_period_expansion(exp, max_preperiod, max_period):
+def _detect_period_expansion(exp, budget):
     if exp.tail.kind != TRUNCATED:
         return _tail_verdict(
             exp,
@@ -685,9 +695,9 @@ def _detect_period_expansion(exp, max_preperiod, max_period):
             "expansion carries a periodic tag",
         )
     if exp.theta is not None and all(e.is_exact() for e in exp.theta):
-        if exp.states and exp.states[0] is exp.theta:
-            return _period_verdict(exp.theta, max_preperiod + max_period, prefix=exp)
-        return detect_period(exp.theta, max_preperiod, max_period)
+        if getattr(exp, "_stepped", False):
+            return _period_verdict(exp.theta, budget, prefix=exp)
+        return detect_period(exp.theta, budget)
     return PeriodVerdict(
         kind="aperiodic_up_to",
         depth=exp.depth,

@@ -145,13 +145,11 @@ def _looks_like_scalar(obj):
     return False
 
 
-def _expand_one(theta_obj, mode, depth, pre_budget, per_budget):
+def _expand_one(theta_obj, mode, depth, budget):
     theta = _theta_from_obj(theta_obj, mode)
     if depth < 0:
         raise MalformedInput("depth must be non-negative")
-    if min(pre_budget, per_budget) <= 0:
-        pre_budget = per_budget = 0  # a tail search needs both budgets
-    exp = expand_certified(theta, depth, pre_budget, per_budget)
+    exp = expand_certified(theta, depth, budget)
     if exp.tail.kind == PERIODIC:
         blocks = exp.realize(max(depth, exp.depth))
         return Expansion(exp.rank, tuple(blocks), exp.tail, theta=exp.theta)
@@ -163,9 +161,7 @@ def _expand_one(theta_obj, mode, depth, pre_budget, per_budget):
 
 
 def _expand_job(payload):
-    theta_obj, mode, depth, pre_budget, per_budget = payload
-    exp = _expand_one(theta_obj, mode, depth, pre_budget, per_budget)
-    return expansion_to_json(exp)
+    return expansion_to_json(_expand_one(*payload))
 
 
 def cmd_expand(args):
@@ -173,10 +169,7 @@ def cmd_expand(args):
     if isinstance(obj, dict) and "theta" in obj:
         obj = obj["theta"]
     if isinstance(obj, list) and obj and all(isinstance(e, list) and not _looks_like_scalar(e) for e in obj):
-        jobs = [
-            (item, args.mode, args.depth, args.budget_preperiod, args.budget_period)
-            for item in obj
-        ]
+        jobs = [(item, args.mode, args.depth, args.budget) for item in obj]
         workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -185,9 +178,7 @@ def cmd_expand(args):
             results = [_expand_job(j) for j in jobs]
         _emit(results)
         return EXIT_OK
-    exp = _expand_one(
-        obj, args.mode, args.depth, args.budget_preperiod, args.budget_period
-    )
+    exp = _expand_one(obj, args.mode, args.depth, args.budget)
     payload = expansion_to_json(exp)
     if args.format == "text":
         sys.stdout.write(_render(_expand_text, exp, payload))
@@ -212,7 +203,7 @@ def cmd_bratteli(args):
             with open(path, "r", encoding="utf-8") as fh:
                 exps.append(expansion_from_json(_load_json(fh.read())))
         decision = bratteli_mod.tail_equivalent(
-            exps[0], exps[1], depth_budget=args.budget_preperiod
+            exps[0], exps[1], depth_budget=args.budget
         )
         payload = {
             "verdict": decision.verdict,
@@ -267,9 +258,7 @@ def cmd_represent(args):
     else:
         theta, actions, relations = job_from_json(obj)
     rep = build_representation(theta, actions, depth_budget=args.depth)
-    report = verify(
-        rep, relations=relations, aperiodicity_budget=args.budget_period
-    )
+    report = verify(rep, relations=relations, budget=args.budget)
     payload = representation_to_json(rep)
     payload["report"] = report.to_json()
     if args.format == "text":
@@ -326,18 +315,17 @@ def _build_parser():
     common(p_expand, ["json", "text"])
     p_expand.add_argument(
         "--mode",
-        choices=["rational", "algebraic", "interval"],
+        choices=["rational", "interval"],
         default="rational",
         help="how bare numbers in the input are read",
     )
     p_expand.add_argument("--jobs", type=int, default=1)
-    p_expand.add_argument("--budget-preperiod", type=int, default=16)
-    p_expand.add_argument("--budget-period", type=int, default=16)
+    p_expand.add_argument("--budget", type=int, default=32)
     p_expand.set_defaults(func=cmd_expand)
 
     p_brat = sub.add_parser("bratteli", help="diagram export and tail comparison")
     common(p_brat, ["json", "dot", "text"])
-    p_brat.add_argument("--budget-preperiod", type=int, default=16)
+    p_brat.add_argument("--budget", type=int, default=16)
     p_brat.add_argument(
         "--compare", nargs=2, metavar=("A", "B"), help="two expansion JSON files"
     )
@@ -345,7 +333,7 @@ def _build_parser():
 
     p_rep = sub.add_parser("represent", help="build and audit a representation")
     common(p_rep, ["json", "text"])
-    p_rep.add_argument("--budget-period", type=int, default=16)
+    p_rep.add_argument("--budget", type=int, default=32)
     p_rep.set_defaults(func=cmd_represent)
 
     p_genus = sub.add_parser("genus", help="coordinate rank of a genus-g surface")

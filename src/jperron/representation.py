@@ -25,6 +25,7 @@ from .cf import (
     Expansion,
     Tail,
     _certified_run,
+    _stepped,
     canonical_periodic,
     detect_period,
     expansion_from_json,
@@ -380,7 +381,7 @@ def build_representation(theta, actions, depth_budget=24):
             raise MalformedInput("duplicate generator name %r" % a.name)
         names.append(a.name)
 
-    exp_theta, base_run = _certified_run(base, depth_budget, depth_budget, depth_budget)
+    exp_theta, base_run = _certified_run(base, depth_budget, 2 * depth_budget)
     exps = {}
     images = {}
     supplied = {}
@@ -398,9 +399,7 @@ def build_representation(theta, actions, depth_budget=24):
                     "generator %r maps theta outside the positive cone" % a.name
                 )
             img_vec = img_vec.normalized()
-            exps[a.name] = _certified_run(
-                img_vec, depth_budget, depth_budget, depth_budget
-            )[0]
+            exps[a.name] = _certified_run(img_vec, depth_budget, 2 * depth_budget)[0]
             images[a.name] = img_vec
             supplied[a.name] = a.matrix
         else:
@@ -478,25 +477,27 @@ def evaluate_word(rep, word):
 
 def _tail_subject(rep):
     """What ``verify`` hands to ``detect_period``: the stored base run from
-    ``theta_offset`` on, as a truncated expansion of ``theta_max`` with its
-    states, or ``theta_max`` itself when the representation holds no run,
-    or one that ``base_expansion`` was not cut from.  ``detect_period``
-    extends the states only if they start at the very object
-    ``theta_max``, so a representation edited with ``dataclasses.replace``
-    is otherwise searched from scratch."""
+    ``theta_offset`` on, as a stepped run of ``theta_max`` that the search
+    extends, or ``theta_max`` itself, searched from scratch.  The run is
+    used only if ``_expand`` stepped it, ``base_expansion`` was cut from it
+    and its state at ``theta_offset`` is the very object ``theta_max``, so
+    a representation or run edited with ``dataclasses.replace`` is
+    searched from scratch."""
     run, t = rep.base_run, rep.theta_offset
-    if run is None or run.states is None or run.theta is not rep.base_expansion.theta:
+    cut = getattr(run, "_stepped", False) and run.theta is rep.base_expansion.theta
+    states = run.states[t:] if cut else ()
+    if not states or states[0] is not rep.theta_max:
         return rep.theta_max
-    return Expansion(
+    return _stepped(Expansion(
         rank=run.rank,
         blocks=run.blocks[t:len(run.states) - 1],
         tail=Tail.truncated(),
         theta=rep.theta_max,
-        states=run.states[t:],
-    )
+        states=states,
+    ))
 
 
-def verify(rep, relations=(), aperiodicity_budget=16):
+def verify(rep, relations=(), budget=32):
     """Audit a representation and return the full report.
 
     Checks, in order: exact image reconstruction for every generator,
@@ -511,11 +512,11 @@ def verify(rep, relations=(), aperiodicity_budget=16):
     conditional on aperiodicity (exact alignment) or depth-bounded.  A
     relation is a question asked of the matrices; its entry answers it.
 
-    The periodicity search on the tail vector extends the base run that
-    ``build_representation`` already searched (its states from
-    ``theta_offset`` on are replayed, not recomputed), and restarts from
-    ``theta_max`` when the representation no longer holds that run; the
-    verdict is the same either way.
+    The periodicity search on the tail vector takes ``budget`` steps.  It
+    extends the base run that ``build_representation`` already searched
+    (its states from ``theta_offset`` on are replayed, not recomputed), and
+    restarts from ``theta_max`` when the representation no longer holds
+    that run; the verdict is the same either way.
     """
     ident = intmat.identity(rep.rank)
     entries = _reconstruction_entries(
@@ -542,9 +543,7 @@ def verify(rep, relations=(), aperiodicity_budget=16):
         )
         return VerificationReport(tuple(entries), None, "not_guaranteed")
 
-    verdict = detect_period(
-        _tail_subject(rep), aperiodicity_budget, aperiodicity_budget
-    )
+    verdict = detect_period(_tail_subject(rep), budget)
     aperiodic = not verdict.is_periodic and verdict.kind != TERMINATED
     if verdict.is_periodic:
         message = (

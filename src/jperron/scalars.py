@@ -580,7 +580,7 @@ def interval(lo, hi):
     return IntervalScalar(lo, hi)
 
 
-def floor_exact(x, budget=DEFAULT_REFINE_BUDGET):
+def floor_exact(x):
     """Exact floor of a scalar.
 
     Algebraic values refine their isolating interval until no integer is
@@ -598,7 +598,7 @@ def floor_exact(x, budget=DEFAULT_REFINE_BUDGET):
         raise IndeterminateFloor("interval %r straddles an integer" % x)
     if isinstance(x, AlgebraicScalar):
         tested = None
-        for _ in range(budget):
+        for _ in range(DEFAULT_REFINE_BUDGET):
             lo, hi = x.enclosure()
             flo, fhi = _floor(lo), _floor(hi)
             if flo == fhi:
@@ -612,7 +612,7 @@ def floor_exact(x, budget=DEFAULT_REFINE_BUDGET):
     raise MalformedInput("floor_exact expects a Scalar, got %r" % (x,))
 
 
-def compare(x, y, budget=_SIGN_BUDGET):
+def compare(x, y):
     """Exact ordering of two scalars; INDETERMINATE only for fuzzy intervals."""
     if isinstance(x, (int, Fraction)):
         x = RationalScalar(x)
@@ -621,7 +621,7 @@ def compare(x, y, budget=_SIGN_BUDGET):
     if isinstance(x, IntervalScalar) or isinstance(y, IntervalScalar):
         # refine any algebraic side before conceding: INDETERMINATE should
         # only mean the fuzzy interval itself straddles the other value
-        for _ in range(budget):
+        for _ in range(_SIGN_BUDGET):
             xlo, xhi = x.enclosure()
             ylo, yhi = y.enclosure()
             if xhi < ylo:
@@ -649,12 +649,12 @@ def compare(x, y, budget=_SIGN_BUDGET):
         return Ordering.INDETERMINATE
     if isinstance(x, AlgebraicScalar) and isinstance(y, AlgebraicScalar):
         if not (x.field is y.field or x.field.same_root(y.field)):
-            return _compare_cross_field(x, y, budget)
+            return _compare_cross_field(x, y)
     s = (x - y).sign()
     return Ordering(min(max(s, -1), 1))
 
 
-def _compare_cross_field(x, y, budget):
+def _compare_cross_field(x, y):
     # Equality across two independently declared fields holds iff a common
     # root of the two annihilators sits where both enclosures shrink to.
     px = x.annihilator()
@@ -664,7 +664,7 @@ def _compare_cross_field(x, y, budget):
     if poly.degree(common) >= 1:
         chains = [poly.sturm_chain(p) for p in (px, py, common)]
         polys = (px, py, common)
-    for _ in range(budget):
+    for _ in range(_SIGN_BUDGET):
         xlo, xhi = x.enclosure()
         ylo, yhi = y.enclosure()
         if xhi < ylo:

@@ -269,12 +269,10 @@ def reference_expand_certified(theta, depth, max_preperiod, max_period):
     )
 
 
-def reference_verify(rep, relations=(), aperiodicity_budget=16):
+def reference_verify(rep, relations=(), budget=32):
     """``verify`` with the periodicity search run from scratch on
     ``rep.theta_max`` (the representation keeps no base run to extend)."""
-    return verify(
-        dataclasses.replace(rep, base_run=None), relations, aperiodicity_budget
-    )
+    return verify(dataclasses.replace(rep, base_run=None), relations, budget)
 
 
 # ------------------------------------------------------------ verify oracle
@@ -285,7 +283,7 @@ def reference_verify(rep, relations=(), aperiodicity_budget=16):
 # and left faithfulness conditional.
 
 
-def flag_verify(rep, relations=(), aperiodicity_budget=16):
+def flag_verify(rep, relations=(), budget=32):
     """``verify`` with faithfulness decided by three flags."""
     ident = identity(rep.rank)
     names = list(rep.matrices)
@@ -326,9 +324,7 @@ def flag_verify(rep, relations=(), aperiodicity_budget=16):
         )
         hypotheses_ok = False
     else:
-        verdict = detect_period(
-            _tail_subject(rep), aperiodicity_budget, aperiodicity_budget
-        )
+        verdict = detect_period(_tail_subject(rep), budget)
         if verdict.is_periodic:
             stationary = True
             hypotheses_ok = False
@@ -458,14 +454,14 @@ _VERIFY_LOG = []
 
 def _logged_build(*args, **kwargs):
     rep = build_representation(*args, **kwargs)
-    _VERIFY_LOG.append((rep, (), 16, None))
+    _VERIFY_LOG.append((rep, (), 32, None))
     return rep
 
 
-def _logged_verify(rep, relations=(), aperiodicity_budget=16):
+def _logged_verify(rep, relations=(), budget=32):
     relations = list(relations)
-    report = verify(rep, relations, aperiodicity_budget)
-    _VERIFY_LOG.append((rep, relations, aperiodicity_budget, report))
+    report = verify(rep, relations, budget)
+    _VERIFY_LOG.append((rep, relations, budget, report))
     return report
 
 
@@ -685,7 +681,7 @@ def reference_common_tail_bounded(exps, depth_budget):
 
 def reference_expand_tagged(vec, depth_budget):
     """Period search, then a fresh expansion when none is certified."""
-    verdict = detect_period(vec, depth_budget, depth_budget)
+    verdict = detect_period(vec, 2 * depth_budget)
     if verdict.expansion is not None:
         return verdict.expansion
     return jpa_expand(vec, depth_budget)
@@ -699,7 +695,7 @@ def reference_expand_one(theta_obj, mode, depth, pre_budget, per_budget):
         raise MalformedInput("depth must be non-negative")
     exact = all(e.is_exact() for e in theta.entries)
     if exact and pre_budget > 0 and per_budget > 0:
-        verdict = detect_period(theta, pre_budget, per_budget)
+        verdict = detect_period(theta, pre_budget + per_budget)
         if verdict.is_periodic:
             certified = verdict.expansion
             return Expansion(
@@ -743,7 +739,7 @@ def reference_is_stationary(exp, max_preperiod=16, max_period=16):
             certified=True,
             note="terminated: a finite diagram is not an infinite periodic one",
         )
-    verdict = detect_period(exp, max_preperiod, max_period)
+    verdict = detect_period(exp, max_preperiod + max_period)
     if verdict.is_periodic:
         return StationaryVerdict(
             stationary=True,

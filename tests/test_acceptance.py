@@ -107,7 +107,7 @@ def test_criterion_3_periodic_fixed_point():
         theta = tribonacci_vector()
         exp = jpa_expand(theta, 50)
         assert exp.blocks == ((1, 1),) * 50
-        verdict = detect_period(theta, 8, 8)
+        verdict = detect_period(theta, 16)
         assert verdict.is_periodic and verdict.certified
         assert verdict.preperiod == 0 and verdict.period == ((1, 1),)
         m = step_matrix((1, 1))
@@ -317,7 +317,7 @@ def test_criterion_7_stationary_negative_control():
             [GeneratorAction("p", matrix=step_matrix((1, 1)))],
             depth_budget=10,
         )
-        report = verify(rep, aperiodicity_budget=8)
+        report = verify(rep, budget=16)
         assert report.stationary is True
         assert report.has_flag("aperiodicity")
         assert report.faithfulness == "not_guaranteed"

@@ -283,10 +283,10 @@ def test_is_stationary_growing_digits():
 
 
 def test_is_stationary_agrees_with_detect_period(tribonacci):
-    exp = detect_period(tribonacci, 8, 8).expansion
+    exp = detect_period(tribonacci, 16).expansion
     v = is_stationary(exp)
     assert bool(v)
-    assert detect_period(exp, 8, 8).is_periodic
+    assert detect_period(exp, 16).is_periodic
 
 
 # The notes ``is_stationary`` takes from ``detect_period`` where its own
@@ -301,7 +301,7 @@ _RENAMED_NOTES = {
 
 
 def _assert_matches_reference(exp, budgets=(16, 16)):
-    got = is_stationary(exp, *budgets)
+    got = is_stationary(exp, sum(budgets))
     want = reference_is_stationary(exp, *budgets)
     assert got.stationary == want.stationary
     assert got.periodic_from_start == want.periodic_from_start
@@ -346,7 +346,7 @@ def test_is_stationary_rejects_negative_budgets_for_every_tail_kind():
         Expansion(rank=3, blocks=((1, 2),), tail=Tail.truncated()),
     ):
         with pytest.raises(MalformedInput):
-            is_stationary(exp, -1, 16)
+            is_stationary(exp, -1)
 
 
 def test_is_stationary_truncated_exact_expansions_match_reference(tribonacci):
@@ -365,7 +365,7 @@ def test_is_stationary_truncated_exact_expansions_match_reference(tribonacci):
         got, _ = _assert_matches_reference(exp, budgets)
         # the same theta without the stored states
         bare = Expansion(exp.rank, exp.blocks, Tail.truncated(), theta=exp.theta)
-        assert is_stationary(bare, *budgets) == got
+        assert is_stationary(bare, sum(budgets)) == got
         _assert_matches_reference(bare, budgets)
         notes.append(got.note)
     assert notes == [
@@ -403,7 +403,7 @@ def test_dot_counts_rank3_depth1():
 
 
 def test_export_json_round_trip(tribonacci):
-    diag = build_diagram(detect_period(tribonacci, 8, 8).expansion)
+    diag = build_diagram(detect_period(tribonacci, 16).expansion)
     raw = export(diag, "json")
     back = diagram_from_json(json.loads(raw.decode("utf-8")))
     assert back.expansion.blocks == diag.expansion.blocks

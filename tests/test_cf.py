@@ -13,8 +13,9 @@ from conftest import (
     tribonacci_vector,
 )
 from jperron import cf as cf_module
-from jperron import intmat
+from jperron import cli, intmat
 from jperron import polynomials as poly
+from jperron.bratteli import is_stationary
 from jperron.cf import (
     Expansion,
     Tail,
@@ -50,6 +51,7 @@ from jperron.scalars import (
     floor_exact,
     interval,
     rational,
+    vector_to_json,
 )
 
 
@@ -373,7 +375,7 @@ def test_termination_and_terminal_scale_random():
 
 
 def test_detect_period_tribonacci(tribonacci):
-    verdict = detect_period(tribonacci, 8, 8)
+    verdict = detect_period(tribonacci, 16)
     assert verdict.is_periodic and verdict.certified
     assert verdict.preperiod == 0
     assert verdict.period == ((1, 1),)
@@ -383,21 +385,21 @@ def test_detect_period_tribonacci(tribonacci):
 
 
 def test_detect_period_rational_terminates():
-    verdict = detect_period(ScalarVector([1, Fraction(7, 5), Fraction(11, 5)]), 8, 8)
+    verdict = detect_period(ScalarVector([1, Fraction(7, 5), Fraction(11, 5)]), 16)
     assert verdict.kind == "terminated" and verdict.certified
 
 
 def test_detect_period_prefixed_tribonacci(tribonacci):
     m = step_matrix((3, 4))
     shifted = ScalarVector(scalar_mat_vec(m, tribonacci.entries)).normalized()
-    verdict = detect_period(shifted, 8, 8)
+    verdict = detect_period(shifted, 16)
     assert verdict.is_periodic
     assert verdict.preperiod == 1
     assert verdict.period == ((1, 1),)
 
 
 def test_detect_period_golden_rank2():
-    verdict = detect_period(ScalarVector([rational(1), golden()]), 4, 4)
+    verdict = detect_period(ScalarVector([rational(1), golden()]), 8)
     assert verdict.is_periodic
     assert verdict.preperiod == 0 and verdict.period == ((1,),)
 
@@ -415,7 +417,7 @@ def test_detect_period_cube_roots(c, preperiod, period):
     # certified here by exact state recurrence in the cubic field
     g = algebraic([-c, 0, 0, 1], 1, 2)
     theta = ScalarVector([rational(1), g, g * g])
-    verdict = detect_period(theta, 24, 24)
+    verdict = detect_period(theta, 48)
     assert verdict.is_periodic and verdict.certified
     assert verdict.preperiod == preperiod
     assert verdict.period == period
@@ -429,7 +431,7 @@ def test_detect_period_cube_roots(c, preperiod, period):
 
 def test_detect_period_budget_is_honest():
     # a long Euclid chain with a tiny search depth: no certificate either way
-    verdict = detect_period(ScalarVector([1, Fraction(10946, 6765)]), 2, 2)
+    verdict = detect_period(ScalarVector([1, Fraction(10946, 6765)]), 4)
     assert verdict.kind == "aperiodic_up_to"
     assert not verdict.certified
     assert verdict.depth == 4
@@ -441,7 +443,7 @@ def test_detect_period_on_tagged_expansion():
         blocks=((3, 4), (1, 1), (1, 1)),
         tail=Tail.periodic(1, [(1, 1)]),
     )
-    verdict = detect_period(exp, 8, 8)
+    verdict = detect_period(exp, 16)
     assert verdict.is_periodic and verdict.preperiod == 1
 
 
@@ -450,13 +452,13 @@ def test_detect_period_truncated_expansion_with_exact_theta(tribonacci):
     # be re-certified from the vector itself
     exp = jpa_expand(tribonacci, 6)
     assert exp.tail.kind == "truncated"
-    verdict = detect_period(exp, 8, 8)
+    verdict = detect_period(exp, 16)
     assert verdict.is_periodic and verdict.certified
 
 
 def test_detect_period_truncated_digits_only():
     exp = Expansion(rank=3, blocks=((1, 1),) * 6, tail=Tail.truncated())
-    verdict = detect_period(exp, 8, 8)
+    verdict = detect_period(exp, 16)
     assert verdict.kind == "aperiodic_up_to" and not verdict.certified
 
 
@@ -471,7 +473,7 @@ def test_periodic_tag_must_be_primitive_and_consistent():
 
 
 def test_expansion_json_round_trip(tribonacci):
-    e = detect_period(tribonacci, 8, 8).expansion
+    e = detect_period(tribonacci, 16).expansion
     back = expansion_from_json(expansion_to_json(e))
     assert back.rank == e.rank
     assert back.blocks == e.blocks
@@ -510,16 +512,13 @@ def _values(entries):
     return [x.value for x in entries]
 
 
-def _assert_kernel_matches(theta, max_depth, keep_states=True):
-    e = jpa_expand(theta, max_depth, keep_states)
+def _assert_kernel_matches(theta, max_depth):
+    e = jpa_expand(theta, max_depth)
     blocks, states, residual = _scalar_loop(theta, max_depth)
     assert list(e.blocks) == blocks
     assert e.tail.kind == ("truncated" if residual is None else "terminated")
     assert _values(e.theta) == _values(states[0])
-    if keep_states:
-        assert [_values(s) for s in e.states] == [_values(s) for s in states]
-    else:
-        assert e.states is None
+    assert [_values(s) for s in e.states] == [_values(s) for s in states]
     if residual is None:
         assert e.residual is None
     else:
@@ -551,7 +550,6 @@ def test_kernel_matches_scalar_loop_truncated_depths():
         full = jpa_expand(theta, 1 << 12).depth
         for depth in (0, 1, full // 2, full - 1, full, full + 1):
             _assert_kernel_matches(theta, depth)
-            _assert_kernel_matches(theta, depth, keep_states=False)
 
 
 def test_kernel_matches_scalar_loop_zero_interior_coordinates():
@@ -594,9 +592,9 @@ def test_rational_paths_never_call_the_scalar_step(monkeypatch):
     e = jpa_expand([1, Fraction(7, 5), Fraction(11, 5)], 32)
     assert e.blocks == ((1, 2), (0, 2), (1, 2))
     assert prefix_product(e, e.depth) == [[1, 2, 5], [1, 3, 7], [2, 4, 11]]
-    verdict = detect_period(ScalarVector([1, Fraction(7, 5), Fraction(11, 5)]), 8, 8)
+    verdict = detect_period(ScalarVector([1, Fraction(7, 5), Fraction(11, 5)]), 16)
     assert verdict.kind == "terminated" and verdict.expansion.blocks == e.blocks
-    verdict = detect_period(ScalarVector([1, Fraction(10946, 6765)]), 2, 2)
+    verdict = detect_period(ScalarVector([1, Fraction(10946, 6765)]), 4)
     assert verdict.kind == "aperiodic_up_to"
 
 
@@ -620,7 +618,7 @@ _PINNED_VERDICTS = [
 
 @pytest.mark.parametrize("theta,pre,per,kind,depth", _PINNED_VERDICTS)
 def test_detect_period_rational_verdicts_unchanged(theta, pre, per, kind, depth):
-    verdict = detect_period(ScalarVector(list(theta)), pre, per)
+    verdict = detect_period(ScalarVector(list(theta)), pre + per)
     assert (verdict.kind, verdict.depth) == (kind, depth)
     assert verdict.certified == (kind == "terminated")
     assert verdict.preperiod is None and verdict.period is None
@@ -642,7 +640,7 @@ def test_detect_period_rational_matches_scalar_loop_random():
     for _ in range(40):
         theta = _random_rational_vector(rng, rng.randint(2, 6), rng.choice((4, 32)))
         pre, per = rng.randint(0, 6), rng.randint(0, 6)
-        verdict = detect_period(ScalarVector(theta), pre, per)
+        verdict = detect_period(ScalarVector(theta), pre + per)
         blocks, _, residual = _scalar_loop(theta, pre + per)
         if residual is None:
             assert (verdict.kind, verdict.depth) == ("aperiodic_up_to", pre + per)
@@ -653,7 +651,7 @@ def test_detect_period_rational_matches_scalar_loop_random():
 
 def test_detect_period_rejects_negative_rational_entries():
     with pytest.raises(NonPositiveState):
-        detect_period(ScalarVector([1, Fraction(-1, 2)]), 1, 1)
+        detect_period(ScalarVector([1, Fraction(-1, 2)]), 2)
 
 
 def test_detect_period_stops_where_interval_data_runs_out():
@@ -665,7 +663,7 @@ def test_detect_period_stops_where_interval_data_runs_out():
         except IndeterminateFloor:
             break
         steps += 1
-    verdict = detect_period(theta, 8, 8)
+    verdict = detect_period(theta, 16)
     assert (verdict.kind, verdict.depth, verdict.certified) == (
         "aperiodic_up_to", steps, False
     )
@@ -676,7 +674,7 @@ def test_detect_period_rejects_a_zero_leading_entry():
     # dividing by the head used to raise ZeroDivisionError
     for theta in ([0, 1], [rational(0), golden()], [interval(-1, 1), 1]):
         with pytest.raises(NonPositiveState):
-            detect_period(ScalarVector(theta), 4, 4)
+            detect_period(ScalarVector(theta), 8)
 
 
 # ---------------------------------------------------------------- certified expansion
@@ -703,10 +701,10 @@ def _certified_inputs():
 
 
 def test_expand_certified_matches_search_then_expand():
-    # build_representation's call: depth and both budgets equal
+    # build_representation's call: a budget of twice the depth
     for theta in _certified_inputs():
         for budget in range(9):
-            got = expand_certified(theta, budget, budget, budget)
+            got = expand_certified(theta, budget, 2 * budget)
             assert got == reference_expand_tagged(theta, budget)
             # a terminated expansion has no state after its last block
             after_last = got.tail.kind != "terminated"
@@ -726,7 +724,7 @@ def test_expand_certified_expands_once(monkeypatch):
     theta = _quartic()
     for depth, pre, per in ((6, 4, 4), (12, 4, 4), (0, 3, 2), (5, 0, 0)):
         calls.clear()
-        exp = expand_certified(theta, depth, pre, per)
+        exp = expand_certified(theta, depth, pre + per)
         assert exp.depth == depth and exp.tail.kind == "truncated"
         assert len(calls) == max(depth, pre + per)
         assert exp == jpa_expand(theta, depth)
@@ -735,15 +733,15 @@ def test_expand_certified_expands_once(monkeypatch):
 def test_expand_certified_rejects_non_positive_input():
     for theta in ([1, 0], [1, Fraction(1, 2), 0], [0, 1], [1, -1]):
         with pytest.raises(NonPositiveState):
-            expand_certified(ScalarVector(theta), 4, 4, 4)
+            expand_certified(ScalarVector(theta), 4, 8)
 
 
 def test_expand_certified_interval_input_is_not_searched():
     theta = ScalarVector([1, interval(Fraction(141, 100), Fraction(142, 100))])
     # interval scalars have no exact equality: compare their endpoints
-    assert repr(expand_certified(theta, 1, 8, 8)) == repr(jpa_expand(theta, 1))
+    assert repr(expand_certified(theta, 1, 16)) == repr(jpa_expand(theta, 1))
     with pytest.raises(IndeterminateFloor):
-        expand_certified(theta, 64, 8, 8)
+        expand_certified(theta, 64, 16)
 
 
 # ---------------------------------------------------------------- step products
@@ -900,7 +898,7 @@ def test_detect_period_matches_all_pairs_reference():
     kinds = set()
     for theta in _recurrence_inputs():
         for pre, per in [(b, b) for b in range(17)] + [(0, 5), (5, 0), (3, 16)]:
-            got = detect_period(theta, pre, per)
+            got = detect_period(theta, pre + per)
             want = reference_detect_period(theta, pre, per)
             assert _verdict_fields(got) == _verdict_fields(want), (theta, pre, per)
             kinds.add(got.kind)
@@ -911,7 +909,7 @@ def test_expand_certified_matches_all_pairs_reference():
     for theta in _recurrence_inputs():
         for depth in (0, 3, 9):
             for budget in (0, 1, 2, 4, 8, 16):
-                got = expand_certified(theta, depth, budget, budget)
+                got = expand_certified(theta, depth, 2 * budget)
                 want = reference_expand_certified(theta, depth, budget, budget)
                 assert got == want, (theta, depth, budget)
                 assert got.residual == want.residual
@@ -928,7 +926,7 @@ def test_recurrence_filter_bounds_exact_compares(monkeypatch):
         return exact(a, b)
 
     monkeypatch.setattr(cf_module, "compare", counting)
-    verdict = detect_period(_aperiodic_cubic(), 64, 64)
+    verdict = detect_period(_aperiodic_cubic(), 128)
     assert verdict.kind == "aperiodic_up_to" and verdict.depth == 128
     assert len(calls) <= 4 * 128
 
@@ -944,9 +942,9 @@ def test_detect_period_extends_a_truncated_expansion(monkeypatch):
     for theta in (_quartic(), tribonacci_vector(), _aperiodic_cubic()):
         for depth in (0, 1, 5, 9, 12):
             exp = jpa_expand(theta, depth)
-            fresh = detect_period(theta, 4, 4)
+            fresh = detect_period(theta, 8)
             calls.clear()
-            got = detect_period(exp, 4, 4)
+            got = detect_period(exp, 8)
             assert _verdict_fields(got) == _verdict_fields(fresh)
             if fresh.kind == "aperiodic_up_to":
                 # only the steps past the stored states are taken
@@ -957,7 +955,58 @@ def test_detect_period_extends_a_truncated_expansion(monkeypatch):
                 dataclasses.replace(exp, states=None),
             ):
                 calls.clear()
-                got = detect_period(other, 4, 4)
+                got = detect_period(other, 8)
                 assert _verdict_fields(got) == _verdict_fields(fresh)
                 if fresh.kind == "aperiodic_up_to":
                     assert len(calls) == 8
+
+
+def test_detect_period_searches_an_edited_run_from_its_theta():
+    # a run rebuilt with dataclasses.replace keeps its theta and states
+    # objects, but its blocks or states were not stepped from that theta:
+    # replaying them certified a period of blocks the vector never emits
+    phi = golden()
+    exp = jpa_expand([rational(1), phi], 4)
+    fresh = detect_period(exp.theta, 8)
+    assert fresh.period == ((1,),)
+    others = tuple(ScalarVector([rational(1), phi + i]) for i in range(1, 5))
+    for edited in (
+        dataclasses.replace(exp, blocks=((7,),) * 4),
+        dataclasses.replace(exp, states=(exp.theta,) + others),
+    ):
+        assert _verdict_fields(detect_period(edited, 8)) == _verdict_fields(fresh)
+
+
+# ---------------------------------------------------------------- budget contract
+
+
+def _preperiod_ten():
+    """(1, phi) pushed through ten step matrices: canonical preperiod 10,
+    period ((1,),)."""
+    m = intmat.identity(2)
+    for d in (3, 5, 2, 7, 4, 6, 3, 9, 2, 5):
+        m = intmat.mat_mul(m, step_matrix((d,)))
+    return ScalarVector(scalar_mat_vec(m, [rational(1), golden()])).normalized()
+
+
+def test_budget_is_a_step_count_at_its_edge():
+    # periodic exactly when the preperiod plus the period length fits
+    v = _preperiod_ten()
+    verdict = detect_period(v, 11)
+    assert (verdict.kind, verdict.preperiod, verdict.period) == ("periodic", 10, ((1,),))
+    verdict = detect_period(v, 10)
+    assert (verdict.kind, verdict.depth) == ("aperiodic_up_to", 10)
+    for budget, kind in ((11, "periodic"), (10, "truncated")):
+        assert expand_certified(v, 4, budget).tail.kind == kind
+        exp = cli._expand_one(vector_to_json(v), "rational", 4, budget)
+        assert exp.tail.kind == kind
+        assert bool(is_stationary(jpa_expand(v, 4), budget)) == (kind == "periodic")
+
+
+def test_budget_split_does_not_matter():
+    v = _preperiod_ten()
+    for budget in (10, 11):
+        got = _verdict_fields(detect_period(v, budget))
+        for q in range(budget + 1):
+            want = reference_detect_period(v, q, budget - q)
+            assert got == _verdict_fields(want), (budget, q)

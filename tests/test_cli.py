@@ -1,6 +1,9 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,8 +38,7 @@ def test_expand_rational_terminates():
 
 
 def test_expand_depth_zero():
-    proc = run_cli("expand", "--theta", RATIONAL_THETA, "--depth", "0",
-                   "--budget-preperiod", "0", "--budget-period", "0")
+    proc = run_cli("expand", "--theta", RATIONAL_THETA, "--depth", "0", "--budget", "0")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["blocks"] == []
 
@@ -334,7 +336,7 @@ def test_unprintable_text_report_is_a_json_error(digit_limit, capsys):
 
 
 @pytest.mark.parametrize("theta", ["[1, 0]", "[1, 0, 1]", "[1, 0.5, 0]", "[0, 1]"])
-@pytest.mark.parametrize("flags", [[], ["--budget-period", "0"]])
+@pytest.mark.parametrize("flags", [[], ["--budget", "0"]])
 def test_expand_rejects_non_positive_input(theta, flags, capsys):
     # the period search used to accept zero entries, and a zero head
     # raised ZeroDivisionError; positivity no longer depends on the budget
@@ -347,7 +349,8 @@ def test_expand_rejects_non_positive_input(theta, flags, capsys):
 
 
 def _expand_inputs():
-    """(JSON theta, mode) at ranks 2-4: rational, algebraic, interval."""
+    """(JSON theta, mode) at ranks 2-4: rational, algebraic, interval; the
+    algebraic vectors carry their own JSON tags."""
     rng = rng_for("cli-expand-reference")
     out = [
         (["%d/%d" % (rng.randint(1, 400), rng.randint(1, 400)) for _ in range(rank)],
@@ -356,7 +359,7 @@ def _expand_inputs():
         for _ in range(3)
     ]
     out.append((["1", "10946/6765"], "rational"))  # terminates after 20 steps
-    out.append((vector_to_json(tribonacci_vector()), "algebraic"))
+    out.append((vector_to_json(tribonacci_vector()), "rational"))
     r2 = algebraic([-2, 0, 1], 1, 2)
     # cube roots of 3 and 5: periodic from step 2 and from step 7; the
     # fourth root of 2: no period within these budgets
@@ -364,7 +367,7 @@ def _expand_inputs():
     q = algebraic([-2, 0, 0, 0, 1], 1, 2)
     for entries in ([r2], [c3, c3 * c3], [c5, c5 * c5], [q, q * q, q * q * q]):
         theta = vector_to_json(ScalarVector([rational(1), *entries]))
-        out.append((theta, "algebraic"))
+        out.append((theta, "rational"))
     out.append((["1", "1.4", "2.2"], "interval"))
     out.append((["1", "10946/6765"], "interval"))
     out.append(([1, {"ivl": {"lo": [14142, 10000], "hi": [14143, 10000]}}], "interval"))
@@ -374,23 +377,25 @@ def _expand_inputs():
     return out
 
 
-def _expand_outcome(fn, theta, mode, depth, pre, per):
+def _expand_outcome(fn, *args):
     try:
-        return expansion_to_json(fn(theta, mode, depth, pre, per))
+        return expansion_to_json(fn(*args))
     except JperronError as exc:
         return type(exc).__name__, str(exc)
 
 
 def test_expand_matches_search_then_expand_reference():
-    # depths below, at and above pre + per, and budgets with a zero side
-    budgets = [(0, 0), (0, 8), (8, 0), (2, 2), (4, 4), (8, 8)]
+    # depths below, at and above the budget; the reference takes the
+    # budget split into its two halves
     kinds = set()
     for theta, mode in _expand_inputs():
-        for pre, per in budgets:
+        for budget in (0, 2, 4, 8, 16):
+            split = budget // 2, budget - budget // 2
             for depth in (0, 1, 4, 8, 16, 20):
-                args = theta, mode, depth, pre, per
-                got = _expand_outcome(cli._expand_one, *args)
-                assert got == _expand_outcome(reference_expand_one, *args), args
+                args = theta, mode, depth
+                got = _expand_outcome(cli._expand_one, *args, budget)
+                want = _expand_outcome(reference_expand_one, *args, *split)
+                assert got == want, (args, budget)
                 kinds.add(got[0] if isinstance(got, tuple) else got["tail"]["kind"])
     assert kinds == {
         "terminated", "truncated", "periodic", "IndeterminateFloor", "NonPositiveState"
@@ -485,8 +490,9 @@ _JOB = json.dumps({
 _EXPANSION = '{"rank": 3, "blocks": [[1, 2], [0, 2]], "tail": {"kind": "truncated"}}'
 _REJECTED_ARGS = {
     "represent negative depth": ["represent", "--depth", "-1", "--theta", _JOB],
-    "represent negative period budget": ["represent", "--budget-period", "-3", "--theta", _JOB],
-    "compare negative offset budget": ["bratteli", "--compare", "A", "A", "--budget-preperiod", "-1"],
+    "represent negative period budget": ["represent", "--budget", "-3", "--theta", _JOB],
+    "compare negative offset budget": ["bratteli", "--compare", "A", "A", "--budget", "-1"],
+    "expand negative budget": ["expand", "--budget", "-1", "--theta", RATIONAL_THETA],
     "dot negative depth": ["bratteli", "--format", "dot", "--depth", "-4", "--theta", _EXPANSION],
     "non-integer option": ["expand", "--depth", "abc", "--theta", RATIONAL_THETA],
     "no command": [],
@@ -523,7 +529,9 @@ def test_cli_import_leaves_multiprocessing_out():
     assert proc.stdout == "False\n"
 
 
-# flags a subcommand never read, and --format choices it printed as JSON
+# flags a subcommand never read, --format choices it printed as JSON, the
+# two-part budgets that one --budget replaced, and --mode algebraic, which
+# read bare numbers as --mode rational does
 _REMOVED_FLAGS = {
     "represent --mode": ["represent", "--mode", "algebraic", "--theta", _JOB],
     "represent --jobs": ["represent", "--jobs", "2", "--theta", _JOB],
@@ -533,15 +541,20 @@ _REMOVED_FLAGS = {
     "bratteli --jobs": ["bratteli", "--jobs", "1", "--theta", _EXPANSION],
     "bratteli --budget-period": ["bratteli", "--compare", "A", "A", "--budget-period", "4"],
     "expand --format dot": ["expand", "--format", "dot", "--theta", RATIONAL_THETA],
+    "expand --mode algebraic": ["expand", "--mode", "algebraic", "--theta", RATIONAL_THETA],
+    "expand --budget-preperiod": ["expand", "--budget-preperiod", "4", "--theta", RATIONAL_THETA],
+    "expand --budget-period": ["expand", "--budget-period", "4", "--theta", RATIONAL_THETA],
+    "represent --budget-period": ["represent", "--budget-period", "4", "--theta", _JOB],
+    "bratteli --budget-preperiod": ["bratteli", "--compare", "A", "A", "--budget-preperiod", "3"],
 }
 _KEPT_FLAGS = {
-    "represent": ["represent", "--depth", "8", "--budget-period", "4", "--format", "text",
+    "represent": ["represent", "--depth", "8", "--budget", "8", "--format", "text",
                   "--theta", _JOB],
     "bratteli dot": ["bratteli", "--format", "dot", "--depth", "2", "--theta", _EXPANSION],
-    "bratteli compare": ["bratteli", "--compare", "A", "A", "--budget-preperiod", "3"],
+    "bratteli compare": ["bratteli", "--compare", "A", "A", "--budget", "3"],
     "bratteli text": ["bratteli", "--format", "text", "--theta", _EXPANSION],
-    "expand": ["expand", "--mode", "interval", "--jobs", "1", "--budget-preperiod", "4",
-               "--budget-period", "4", "--format", "text", "--theta", RATIONAL_THETA],
+    "expand": ["expand", "--mode", "interval", "--jobs", "1", "--budget", "8",
+               "--format", "text", "--theta", RATIONAL_THETA],
 }
 
 
@@ -563,3 +576,28 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, capsy
 def test_flags_a_subcommand_reads_still_run(argv, tmp_path, capsys):
     code, out, err = _main_with_file(argv, tmp_path, capsys)
     assert code == 0 and out and err == ""
+
+
+def _readme_flag_table():
+    """{subcommand: set of ``--`` options} from the README's CLI table."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", readme.read_text(), re.MULTILINE)
+    return {name: set(re.findall(r"--[\w-]+", flags)) for name, flags in rows}
+
+
+def test_readme_flag_table_matches_the_parser():
+    # the table is the documentation of which flags each subcommand reads
+    sub = next(
+        a for a in cli._build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    parsed = {
+        name: {
+            opt
+            for action in parser._actions
+            for opt in action.option_strings
+            if opt.startswith("--") and opt != "--help"
+        }
+        for name, parser in sub.choices.items()
+    }
+    assert _readme_flag_table() == parsed

@@ -566,7 +566,7 @@ def test_verify_stationary_flags(tribonacci):
     rep = build_representation(
         tribonacci, [GeneratorAction("p", matrix=m)], depth_budget=10
     )
-    report = verify(rep, aperiodicity_budget=8)
+    report = verify(rep, budget=16)
     assert report.stationary is True
     assert report.faithfulness == "not_guaranteed"
     assert report.has_flag("aperiodicity")
@@ -582,7 +582,7 @@ def test_verify_relations(tribonacci):
     report = verify(
         rep,
         relations=[[("g", 1), ("g", -1)], [("g", 2)]],
-        aperiodicity_budget=6,
+        budget=12,
     )
     rel = [e for e in report.entries if e.kind == "relation"]
     assert rel[0].ok and not rel[1].ok
@@ -604,7 +604,7 @@ def _cube_root_job():
 def test_failed_reconstruction_voids_faithfulness():
     theta, actions, relations = _cube_root_job()
     rep = build_representation(theta, actions, depth_budget=4)
-    report = verify(rep, relations, aperiodicity_budget=4)
+    report = verify(rep, relations, budget=8)
     assert [e.message for e in report.failures()] == [
         "image reconstruction failed (base False, tail False)"
     ]
@@ -638,7 +638,7 @@ def test_failed_relation_leaves_faithfulness_conditional():
     # a relation is a question asked of the matrices; its entry answers it
     rep = _quartic_representation(8)
     commutator = [("a", 1), ("b", 1), ("a", -1), ("b", -1)]
-    report = verify(rep, relations=[commutator], aperiodicity_budget=16)
+    report = verify(rep, relations=[commutator], budget=32)
     assert report.failures() == [
         ReportEntry("relation", False, None, "relation 0 does NOT evaluate to I")
     ]
@@ -647,10 +647,9 @@ def test_failed_relation_leaves_faithfulness_conditional():
 
 @pytest.mark.parametrize("call", [
     lambda: build_representation(ScalarVector([rational(1), rational(7, 5)]), [], -1),
-    lambda: detect_period(ScalarVector([rational(1), rational(7, 5)]), -3, -3),
-    lambda: detect_period(ScalarVector([rational(1), rational(7, 5)]), 4, -1),
+    lambda: detect_period(ScalarVector([rational(1), rational(7, 5)]), -3),
     lambda: common_tail([periodic_exp([], [(1,)], 2)] * 2, depth_budget=-1),
-], ids=["build", "detect_period", "detect_period period", "common_tail"])
+], ids=["build", "detect_period", "common_tail"])
 def test_negative_budgets_are_malformed(call):
     with pytest.raises(MalformedInput):
         call()
@@ -682,7 +681,7 @@ def test_verify_reports_internal_inconsistency():
         alignment=TailAlignment((0, 0), exp, "depth_bounded"),
         report=VerificationReport(entries=()),
     )
-    report = verify(rep, aperiodicity_budget=0)
+    report = verify(rep, budget=0)
     assert report.has_flag("fixes_theta_max", generator="g")
     assert report.has_flag("internal_inconsistency", generator="g")
     assert report.faithfulness == "not_guaranteed"
@@ -697,7 +696,7 @@ def test_verify_periodic_entry_state_is_fixed():
     shifted = ScalarVector(
         scalar_mat_vec(step_matrix((7,)), [rational(1), phi])
     ).normalized()
-    verdict = detect_period(shifted, 6, 6)
+    verdict = detect_period(shifted, 12)
     assert verdict.is_periodic and verdict.preperiod == 1
     entry_state = verdict.expansion.states[verdict.preperiod]
     m = identity(2)
@@ -714,7 +713,7 @@ def test_verify_depth_bounded_faithfulness():
     blocks = [admissible_block(rng, 2) for _ in range(2)]
     _vec, m = prepend_blocks(base, blocks)
     rep = build_representation(base, [GeneratorAction("g", matrix=m)], depth_budget=6)
-    report = verify(rep, aperiodicity_budget=4)
+    report = verify(rep, budget=8)
     assert report.faithfulness in (
         "conditional_depth_bounded",
         "conditional_on_aperiodicity",
@@ -742,14 +741,14 @@ def test_rank6_constant_stream_representation():
 
     from jperron.cf import detect_period
 
-    verdict = detect_period(theta, 6, 6)
+    verdict = detect_period(theta, 12)
     assert verdict.is_periodic and verdict.certified
     assert verdict.preperiod == 0 and verdict.period == ((1, 1, 1, 1, 1),)
 
     m = step_matrix((1, 1, 1, 1, 1))
     rep = build_representation(theta, [GeneratorAction("p", matrix=m)], depth_budget=6)
     assert mat_eq(rep.matrices["p"], identity(6))
-    report = verify(rep, aperiodicity_budget=6)
+    report = verify(rep, budget=12)
     assert report.stationary is True
     assert report.has_flag("fixes_theta_max", generator="p")
     assert report.faithfulness == "not_guaranteed"
@@ -794,10 +793,10 @@ def test_verify_extends_the_searched_base_run(count_steps):
     rep = _quartic_representation(8)
     assert rep.theta_offset == 0 and rep.base_run.depth == 16
     count_steps.clear()
-    report = verify(rep, aperiodicity_budget=16)
+    report = verify(rep, budget=32)
     # 32 searched states, 16 of them already stepped by build_representation
     assert len(count_steps) <= 16
-    assert report == reference_verify(rep, aperiodicity_budget=16)
+    assert report == reference_verify(rep, budget=32)
 
 
 def _shifted_representation(theta, k, depth_budget=8):
@@ -831,18 +830,40 @@ def test_verify_matches_a_fresh_search():
         run = rep.base_run
         if run.tail.kind == "periodic" and rep.theta_offset > run.tail.preperiod:
             inside_cycle += 1
-        for budget in (0, 2, 5, 16):
+        for budget in (0, 4, 10, 32):
             relations = [[("s", 1), ("s", -1)]] if "s" in rep.matrices else []
             want = reference_verify(rep, relations, budget)
             assert verify(rep, relations, budget) == want
     assert inside_cycle >= 2
 
 
+def test_verify_searches_an_edited_base_run_from_its_tail_vector():
+    # dataclasses.replace keeps the run's theta and states objects, so the
+    # identity checks alone let verify replay blocks or states that were
+    # never stepped from the tail vector
+    g = algebraic([-3, 0, 0, 1], 1, 3)
+    periodic = _shifted_representation(ScalarVector([rational(1), g, g * g]), 1)
+    run = periodic.base_run
+    assert run.tail.kind == "periodic" and periodic.theta_offset == 1
+    blocks = dataclasses.replace(
+        run, blocks=((9, 9),) * run.depth, tail=Tail.truncated()
+    )
+    rep = _quartic_representation(8)
+    run = rep.base_run
+    repeated = run.states[:2] + (run.states[1],) * (len(run.states) - 2)
+    states = dataclasses.replace(run, states=repeated)
+    for edited in (
+        dataclasses.replace(periodic, base_run=blocks),
+        dataclasses.replace(rep, base_run=states),
+    ):
+        assert verify(edited) == reference_verify(edited)
+
+
 def test_verify_restarts_on_an_edited_representation(count_steps):
     rep = _quartic_representation(8)
     fresh_steps = 32
     count_steps.clear()
-    detect_period(rep.theta_max, 16, 16)
+    detect_period(rep.theta_max, 32)
     assert len(count_steps) == fresh_steps
     same_value = ScalarVector(list(rep.theta_max.entries))
     other_base = _quartic_representation(8).base_expansion
@@ -851,11 +872,11 @@ def test_verify_restarts_on_an_edited_representation(count_steps):
         dataclasses.replace(rep, base_expansion=other_base),
     ):
         count_steps.clear()
-        report = verify(edited, aperiodicity_budget=16)
+        report = verify(edited, budget=32)
         assert len(count_steps) == fresh_steps
-        assert report == reference_verify(edited, aperiodicity_budget=16)
+        assert report == reference_verify(edited, budget=32)
     # a tail vector swapped for another state of the base is searched anew
     moved = dataclasses.replace(rep, theta_max=rep.base_run.states[3])
-    assert verify(moved, aperiodicity_budget=6) == reference_verify(
-        moved, aperiodicity_budget=6
+    assert verify(moved, budget=12) == reference_verify(
+        moved, budget=12
     )
