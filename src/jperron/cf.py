@@ -28,10 +28,13 @@ from .errors import (
     NonPositiveState,
 )
 from .scalars import (
+    AlgebraicScalar,
+    IntervalScalar,
     Ordering,
     RationalScalar,
     Scalar,
     ScalarVector,
+    _int_mat_vec,
     compare,
     floor_exact,
     int_from_json,
@@ -177,6 +180,9 @@ def step_matrix(b):
 
 def scalar_mat_vec(m, vec):
     """Integer matrix times scalar vector."""
+    out = _int_mat_vec(m, vec)
+    if out is not None:
+        return out
     out = []
     for row in m:
         acc = rational(0)
@@ -199,11 +205,21 @@ def projectively_equal(u, v):
     return True
 
 
+class _ExactState(ScalarVector):
+    """A state that ``jpa_step`` built from exact entries.  It is valid by
+    construction: its head is 1, its fractional parts are >= 0 and 1/f_1
+    is > 0."""
+
+    __slots__ = ()
+
+
 def _check_state(state):
     # Interior states may carry exact zeros (a coordinate whose fractional
     # part vanished on an earlier step); only negative or uncertifiable
     # entries are rejected here.  Strict positivity of the original input
     # is enforced by jpa_expand.
+    if isinstance(state, _ExactState):
+        return state
     state = ScalarVector.coerce(state)
     if compare(state[0], rational(1)) is not Ordering.EQ:
         raise MalformedInput("state vector must be normalized to leading 1")
@@ -235,7 +251,10 @@ def jpa_step(state):
     nxt = [rational(1)]
     nxt.extend(f * inv for f in fracs[1:])
     nxt.append(inv)
-    return digits, ScalarVector(nxt)
+    # interval data can leave a fractional part of uncertain sign
+    if any(isinstance(x, IntervalScalar) for x in state.entries):
+        return digits, ScalarVector(nxt)
+    return digits, _ExactState(nxt)
 
 
 def _terminal_residual(state, digits):
@@ -575,13 +594,20 @@ def _box(state):
     so the leading 1 of a normalized state, which never tells two states
     apart, is looked at last.
     """
-    return tuple(_outward(*x.enclosure()) for x in reversed(state.entries))
+    return tuple(_outward(x) for x in reversed(state.entries))
 
 
-def _outward(lo, hi):
-    # float() of a Fraction rounds to nearest, so one ulp outward encloses
+def _outward(x):
+    # int true division, like float() of a Fraction, rounds to nearest, so
+    # one ulp outward encloses
     try:
-        return math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf)
+        if isinstance(x, AlgebraicScalar):
+            lo, hi, den = x._bounds()
+            lo, hi = lo / den, hi / den
+        else:
+            lo, hi = x.enclosure()
+            lo, hi = float(lo), float(hi)
+        return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
     except OverflowError:
         return -math.inf, math.inf
 

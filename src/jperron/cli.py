@@ -202,9 +202,8 @@ def cmd_bratteli(args):
         for path in args.compare:
             with open(path, "r", encoding="utf-8") as fh:
                 exps.append(expansion_from_json(_load_json(fh.read())))
-        decision = bratteli_mod.tail_equivalent(
-            exps[0], exps[1], depth_budget=args.budget
-        )
+        budget = 16 if args.budget is None else args.budget
+        decision = bratteli_mod.tail_equivalent(exps[0], exps[1], depth_budget=budget)
         payload = {
             "verdict": decision.verdict,
             "offsets": list(decision.offsets) if decision.offsets else None,
@@ -223,7 +222,8 @@ def cmd_bratteli(args):
     if args.format == "dot":
         sys.stdout.write(_render(bratteli_mod.to_dot, diag, depth=args.depth))
     elif args.format == "text":
-        st = bratteli_mod.is_stationary(exp)
+        budget = 32 if args.budget is None else args.budget
+        st = bratteli_mod.is_stationary(exp, budget)
         sys.stdout.write(_render(_diagram_text, diag, exp.tail.kind, bool(st)))
     else:
         _emit(bratteli_mod.diagram_to_json(diag))
@@ -325,7 +325,10 @@ def _build_parser():
 
     p_brat = sub.add_parser("bratteli", help="diagram export and tail comparison")
     common(p_brat, ["json", "dot", "text"])
-    p_brat.add_argument("--budget", type=int, default=16)
+    # the budget of the search the subcommand runs: offsets per stream for
+    # --compare (default 16), steps of the period search for --format text
+    # (default 32)
+    p_brat.add_argument("--budget", type=int)
     p_brat.add_argument(
         "--compare", nargs=2, metavar=("A", "B"), help="two expansion JSON files"
     )

@@ -201,7 +201,7 @@ def project(pl):
     head = pl.vectors[0]
     unit = frame.unit_index
     if frame.field is not None:
-        inum, iden = _split(_elem_inverse(head, frame.field))
+        inum, iden = _elem_inverse(head, frame.field)
         pad = (Fraction(0),) * frame.dimension
         # lambda_1 / lambda_1 = 1 even where lambda_1 is a zero divisor, whose
         # inverse is taken modulo a factor of a reducible modulus

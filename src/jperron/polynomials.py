@@ -96,43 +96,38 @@ def _cancel_step(p, q, s, t, k):
 
 
 def _remainders(p, q, cofactors):
-    """Last nonzero row (r, u, v) of the fraction-free remainder sequence.
+    """Last nonzero row of the fraction-free remainder sequence.
 
     With P = dp*p and Q = dq*q integral, every row (r, u, v) satisfies
     r = u*P + v*Q in integers: r is reduced by the next row through
     one-term pseudo-division (both scaled so that the leading terms cancel)
     and then divided by the content of the whole row.  The remainder over
     Q is unique, so each row is a nonzero rational multiple of the
-    Euclidean row.  Without ``cofactors`` u and v stay empty and each
-    remainder is divided by its own content.  Returns (r, u, v, dp, dq).
+    Euclidean row.  Only the first 1 + ``cofactors`` entries of a row are
+    carried: r alone (0), r and u (1), or r, u and v (2); an entry left
+    out does not take part in the content.  Returns (row, dp, dq).
     """
     a, dp = _over_one_den(trim(p))
     b, dq = _over_one_den(trim(q))
-    ua, va, ub, vb = ([1], [], [], [1]) if cofactors else ([], [], [], [])
-    while b:
-        lb = b[-1]
-        while len(a) >= len(b):
-            c = a[-1]
+    ra = [a, [1], []][:cofactors + 1]
+    rb = [b, [], [1]][:cofactors + 1]
+    while rb[0]:
+        lb = rb[0][-1]
+        while len(ra[0]) >= len(rb[0]):
+            c = ra[0][-1]
             g = int_gcd(c, lb)
-            s, t, k = lb // g, c // g, len(a) - len(b)
-            a = _cancel_step(a, b, s, t, k)
-            if cofactors:
-                ua = _cancel_step(ua, ub, s, t, k)
-                va = _cancel_step(va, vb, s, t, k)
-        g = int_gcd(*a, *ua, *va)
+            s, t, k = lb // g, c // g, len(ra[0]) - len(rb[0])
+            ra = [_cancel_step(x, y, s, t, k) for x, y in zip(ra, rb)]
+        g = int_gcd(*[c for x in ra for c in x])
         if g != 1:
-            a = [c // g for c in a]
-            ua = [c // g for c in ua]
-            va = [c // g for c in va]
-        a, b = b, a
-        ua, ub = ub, ua
-        va, vb = vb, va
-    return a, ua, va, dp, dq
+            ra = [[c // g for c in x] for x in ra]
+        ra, rb = rb, ra
+    return ra, dp, dq
 
 
 def gcd(p, q):
     """Monic polynomial gcd over Q."""
-    a = _remainders(p, q, False)[0]
+    (a,), _, _ = _remainders(p, q, 0)
     return tuple(Fraction(c, a[-1]) for c in a)
 
 
@@ -142,7 +137,7 @@ def extended_gcd(p, q):
     Runs fraction-free (``_remainders``); dividing the last row by the
     leading coefficient of r gives the same g, u and v as Euclid over Q.
     """
-    a, ua, va, dp, dq = _remainders(p, q, True)
+    (a, ua, va), dp, dq = _remainders(p, q, 2)
     if not a:
         return ZERO, ZERO, ZERO
     lead = a[-1]
@@ -200,22 +195,27 @@ def evaluate(p, x):
 
 
 def evaluate_interval(p, lo, hi):
-    """Enclosure of p over [lo, hi] by interval Horner; exact endpoints.
+    """Enclosure of p over [lo, hi] by interval Horner; exact endpoints."""
+    vlo, vhi, den = _interval_bounds(p, Fraction(lo), Fraction(hi))
+    return Fraction(vlo, den), Fraction(vhi, den)
 
-    Runs in integers: with the coefficients over their common denominator
-    d and the endpoints over theirs, q, the accumulator after k
+
+def _interval_bounds(p, lo, hi):
+    """``evaluate_interval`` as integers (vlo, vhi, den), den > 0.
+
+    With the coefficients over their common denominator d and the
+    endpoints (ints or Fractions) over theirs, q, the accumulator after k
     coefficients is kept scaled by d * q^(k-1).  Scaling by a positive
-    factor keeps the min/max choices, so the result equals interval Horner
-    over Fractions.
+    factor keeps the min/max choices, so vlo/den and vhi/den are the
+    bounds of interval Horner over Fractions.
     """
     if not p:
-        return Fraction(0), Fraction(0)
-    lo = Fraction(lo)
-    hi = Fraction(hi)
+        return 0, 0, 1
     nums, d = _over_one_den(p[::-1])
-    q = lo.denominator // int_gcd(lo.denominator, hi.denominator) * hi.denominator
-    a = lo.numerator * (q // lo.denominator)
-    b = hi.numerator * (q // hi.denominator)
+    lq, hq = lo.denominator, hi.denominator
+    q = lq // int_gcd(lq, hq) * hq
+    a = lo.numerator * (q // lq)
+    b = hi.numerator * (q // hq)
     acc_lo = acc_hi = nums[0]
     qk = 1
     for c in nums[1:]:
@@ -223,8 +223,7 @@ def evaluate_interval(p, lo, hi):
         cands = (acc_lo * a, acc_lo * b, acc_hi * a, acc_hi * b)
         acc_lo = min(cands) + c * qk
         acc_hi = max(cands) + c * qk
-    den = d * qk
-    return Fraction(acc_lo, den), Fraction(acc_hi, den)
+    return acc_lo, acc_hi, d * qk
 
 
 def sturm_chain(p):

@@ -252,6 +252,18 @@ class ReportEntry:
     message: str = ""
 
 
+def _no_tail_entry():
+    """The report entry of an alignment that consumed the whole base
+    stream, which leaves no tail vector."""
+    return ReportEntry(
+        "alignment",
+        True,
+        None,
+        "tail entry state unavailable (alignment consumed the whole "
+        "base stream); fixed-point checks are skipped",
+    )
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     entries: tuple
@@ -435,15 +447,7 @@ def build_representation(theta, actions, depth_budget=24):
         matrices, offsets, exps, images, base, theta_max
     )
     if theta_max is None:
-        entries.append(
-            ReportEntry(
-                "alignment",
-                True,
-                None,
-                "tail entry state unavailable (alignment consumed the whole "
-                "base stream); fixed-point checks are skipped",
-            )
-        )
+        entries.append(_no_tail_entry())
     report = VerificationReport(entries=tuple(entries))
     return Representation(
         rank=n,
@@ -505,7 +509,8 @@ def verify(rep, relations=(), budget=32):
     of the tail vector, fixed points of non-identity matrices on the tail
     vector, and the free-action bookkeeping for generators whose image
     equals the tail vector.  Nothing is assumed: every failed check lands
-    in the report.
+    in the report.  Without a tail vector the report says so (the
+    build's ``alignment`` entry) in place of the tail checks.
 
     Faithfulness is read off the report: "not_guaranteed" without a tail
     vector or when any entry other than a relation failed, else
@@ -533,6 +538,7 @@ def verify(rep, relations=(), budget=32):
             )
         )
     if rep.theta_max is None:
+        entries.append(_no_tail_entry())
         entries.append(
             ReportEntry(
                 "aperiodicity",

@@ -8,18 +8,19 @@ Three representations share one interface:
   polynomial and an isolating interval.  The polynomial is kept as integer
   numerators over one positive denominator, reduced modulo the field
   modulus exactly once per operation (pseudo-reduction when the modulus is
-  not monic); the inverse is a fraction-free extended gcd.  Equality,
-  sign, floor and comparison are all decided exactly (the modulus only
-  needs to be square-free; zero divisors are handled through gcd
-  splitting);
+  not monic); the inverse runs the fraction-free remainder loop, carrying
+  one Bezout cofactor.  Equality, sign, floor and comparison are all
+  decided exactly (the modulus only needs to be square-free; zero
+  divisors are handled through gcd splitting);
 * interval -- a rational enclosure with no refinement oracle, good enough
   for ingesting decimal data but refused wherever a certified answer is
   required.
 
 Signs, zero tests and floors of algebraic values are decided from the
-field's current root enclosure first; a polynomial gcd with the modulus
-runs only when the enclosure contains the candidate (0, or the one integer
-a floor could be).
+field's current root enclosure first, read as integer bounds over one
+denominator; a polynomial gcd with the modulus runs only when the
+enclosure contains the candidate (0, or the one integer a floor could
+be).
 
 Values are immutable.  The only internal mutation is the monotone
 shrinking of a field's root enclosure, which never changes the value any
@@ -31,7 +32,7 @@ import sys
 from enum import Enum
 from fractions import Fraction
 from math import floor as _floor
-from math import gcd
+from math import gcd, lcm
 
 from . import polynomials as poly
 from .errors import BudgetExceeded, IndeterminateFloor, MalformedInput
@@ -167,7 +168,7 @@ def _elem_is_zero(coeffs, field):
         return False
     if field._exact_root is not None:
         return poly.evaluate(c, field._exact_root) == 0
-    vlo, vhi = poly.evaluate_interval(c, *field.enclosure())
+    vlo, vhi, _ = poly._interval_bounds(c, *field.enclosure())
     if vlo > 0 or vhi < 0:
         return False
     g = poly.gcd(c, field.modulus)
@@ -183,7 +184,7 @@ def _elem_is_zero(coeffs, field):
 def _elem_sign(coeffs, field):
     # the first pass decides most signs before any exact zero test
     for attempt in range(_SIGN_BUDGET):
-        vlo, vhi = poly.evaluate_interval(coeffs, *field.enclosure())
+        vlo, vhi, _ = poly._interval_bounds(coeffs, *field.enclosure())
         if vlo > 0:
             return 1
         if vhi < 0:
@@ -195,7 +196,8 @@ def _elem_sign(coeffs, field):
 
 
 def _elem_inverse(coeffs, field):
-    """Rational coefficients of 1/c, of degree below the field's."""
+    """1/c as (integer numerators, denominator > 0) in lowest terms, of
+    degree below the field's; c has int or Fraction coefficients."""
     c = poly.trim(coeffs)
     if _elem_is_zero(c, field):
         raise ZeroDivisionError("division by zero field element")
@@ -203,14 +205,19 @@ def _elem_inverse(coeffs, field):
 
 
 def _inv_mod(c, modulus):
-    # the Bezout cofactor u of u*c + v*modulus = 1 has degree below the
-    # modulus, so it needs no further reduction
-    g, u, _ = poly.extended_gcd(c, modulus)
-    if poly.degree(g) == 0:
-        return u
+    # the remainder loop carries only the cofactor u of u*dc*c + v*modulus
+    # = r, dc the common denominator of c; u has degree below the modulus,
+    # so it needs no further reduction
+    (r, u), dc, _ = poly._remainders(c, modulus, 1)
+    if len(r) == 1:
+        s = dc if r[0] > 0 else -dc
+        num = [s * x for x in u]
+        den = abs(r[0])
+        g = gcd(den, *num)
+        return tuple(x // g for x in num), den // g
     # c is a zero divisor modulo a reducible square-free modulus but does
     # not vanish at the generator: invert modulo the cofactor instead.
-    cofactor = poly.div_mod(modulus, g)[0]
+    cofactor = poly.div_mod(modulus, r)[0]
     return _inv_mod(poly.div_mod(c, cofactor)[1], cofactor)
 
 
@@ -374,6 +381,12 @@ class AlgebraicScalar(Scalar):
     def sign(self):
         return _elem_sign(self.num, self.field)
 
+    def _bounds(self):
+        """The enclosure at the field's current one as integers (lo, hi,
+        den), den > 0; nothing is refined."""
+        lo, hi, den = poly._interval_bounds(self.num, *self.field.enclosure())
+        return lo, hi, den * self.den
+
     def enclosure(self, eps=None):
         """Interval around the value, refined to width <= ``eps`` when
         given (``eps`` must be positive)."""
@@ -382,10 +395,8 @@ class AlgebraicScalar(Scalar):
             if eps <= 0:
                 raise MalformedInput("eps must be positive")
         while True:
-            lo, hi = self.field.enclosure()
-            vlo, vhi = poly.evaluate_interval(self.num, lo, hi)
-            if self.den != 1:
-                vlo, vhi = vlo / self.den, vhi / self.den
+            vlo, vhi, den = self._bounds()
+            vlo, vhi = Fraction(vlo, den), Fraction(vhi, den)
             if eps is None or vhi - vlo <= eps or self.field._exact_root is not None:
                 return vlo, vhi
             self.field.refine_once()
@@ -415,7 +426,7 @@ class AlgebraicScalar(Scalar):
         if o is None:
             return NotImplemented
         onum, oden = o
-        inum, iden = _split(_elem_inverse(onum, self.field))
+        inum, iden = _elem_inverse(onum, self.field)
         # (num/den) / (onum/oden) = num * oden * (1/onum) / den
         return self._make(
             self.field, poly.mul(poly.scale(self.num, oden), inum), self.den * iden
@@ -599,8 +610,8 @@ def floor_exact(x):
     if isinstance(x, AlgebraicScalar):
         tested = None
         for _ in range(DEFAULT_REFINE_BUDGET):
-            lo, hi = x.enclosure()
-            flo, fhi = _floor(lo), _floor(hi)
+            lo, hi, den = x._bounds()
+            flo, fhi = lo // den, hi // den
             if flo == fhi:
                 return flo
             if fhi == flo + 1 and fhi != tested:
@@ -700,6 +711,43 @@ def refine(x, eps):
     if isinstance(x, AlgebraicScalar):
         x.enclosure(eps)
     return x
+
+
+def _int_mat_vec(m, entries):
+    """Integer matrix times rational and algebraic entries, or None.
+
+    With every algebraic entry in one field object, each row is summed as
+    integer numerators over the entries' common denominator and reduced
+    once; the normal form is unique, so the result equals term-by-term
+    addition.  Interval entries or several field objects give None.
+    """
+    field = None
+    parts = []
+    for x in entries:
+        if isinstance(x, AlgebraicScalar):
+            if field is None:
+                field = x.field
+            elif x.field is not field:
+                return None
+            parts.append((x.num, x.den))
+        elif isinstance(x, RationalScalar):
+            v = x.value
+            parts.append(((v.numerator,) if v else (), v.denominator))
+        else:
+            return None
+    den = lcm(*(d for _, d in parts))
+    nums = [poly.scale(n, den // d) for n, d in parts]
+    out = []
+    for row in m:
+        acc = ()
+        for c, n in zip(row, nums):
+            if c:
+                acc = poly.add(acc, poly.scale(n, c))
+        if field is None:
+            out.append(RationalScalar(Fraction(acc[0] if acc else 0, den)))
+        else:
+            out.append(AlgebraicScalar._make(field, acc, den))
+    return tuple(out)
 
 
 class ScalarVector:

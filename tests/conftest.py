@@ -56,7 +56,7 @@ from jperron.representation import (
 from jperron.scalars import (
     Ordering,
     ScalarVector,
-    _elem_inverse,
+    _elem_is_zero,
     algebraic,
     compare,
     rational,
@@ -111,6 +111,17 @@ def fraction_extended_gcd(p, q):
     return poly.scale(a, inv), poly.scale(ua, inv), poly.scale(va, inv)
 
 
+def fraction_inverse(c, modulus):
+    """Euclid over Q, splitting off the factor a zero divisor shares with a
+    reducible modulus: the oracle for ``scalars._elem_inverse``, which
+    runs fraction-free and carries one cofactor."""
+    g, u, _ = fraction_extended_gcd(c, modulus)
+    if poly.degree(g) == 0:
+        return u
+    cofactor = poly.div_mod(modulus, g)[0]
+    return fraction_inverse(poly.div_mod(c, cofactor)[1], cofactor)
+
+
 def fraction_gcd(p, q):
     """Euclid over Q with Fraction coefficients: the oracle for
     ``poly.gcd``, which runs fraction-free."""
@@ -123,11 +134,27 @@ def fraction_gcd(p, q):
     return tuple(Fraction(c) / lead for c in a)
 
 
+def termwise_mat_vec(m, vec):
+    """Integer matrix times scalar vector, one reduced sum per term: the
+    oracle for ``cf.scalar_mat_vec``, which reduces once per row."""
+    out = []
+    for row in m:
+        acc = rational(0)
+        for c, x in zip(row, vec):
+            if c:
+                acc = acc + x * c
+        out.append(acc)
+    return tuple(out)
+
+
 def fraction_project(pl):
     """The field branch of ``lattices.project`` with Fraction polynomial
     division by the modulus: the oracle for the field-kernel version."""
     field = pl.frame.field
-    inv = _elem_inverse(poly.trim(pl.vectors[0]), field)
+    head = poly.trim(pl.vectors[0])
+    if _elem_is_zero(head, field):
+        raise ZeroDivisionError("division by zero field element")
+    inv = fraction_inverse(head, field.modulus)
     d = pl.frame.dimension
     new = []
     for v in pl.vectors:
@@ -314,6 +341,15 @@ def flag_verify(rep, relations=(), budget=32):
     aperiodic_within_budget = False
     hypotheses_ok = True
     if rep.theta_max is None:
+        entries.append(
+            ReportEntry(
+                "alignment",
+                True,
+                None,
+                "tail entry state unavailable (alignment consumed the whole "
+                "base stream); fixed-point checks are skipped",
+            )
+        )
         entries.append(
             ReportEntry(
                 "aperiodicity",

@@ -10,11 +10,13 @@ from conftest import (
     reference_expand_certified,
     reference_expand_tagged,
     rng_for,
+    termwise_mat_vec,
     tribonacci_vector,
 )
 from jperron import cf as cf_module
 from jperron import cli, intmat
 from jperron import polynomials as poly
+from jperron import scalars as scalars_module
 from jperron.bratteli import is_stationary
 from jperron.cf import (
     Expansion,
@@ -46,6 +48,7 @@ from jperron.scalars import (
     AlgebraicScalar,
     IntervalScalar,
     RationalScalar,
+    NumberField,
     ScalarVector,
     algebraic,
     floor_exact,
@@ -843,7 +846,7 @@ def test_jpa_step_matches_divided_step_ranks_2_to_5():
 def test_algebraic_expansion_inverts_once_per_step(monkeypatch):
     g = algebraic([-2, 0, 0, 0, 1], 1, 2)
     theta = [1, g, g * g, g * g * g]
-    counts = {"extended_gcd": 0, "jpa_step": 0}
+    counts = {"_elem_inverse": 0, "extended_gcd": 0, "jpa_step": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -852,12 +855,96 @@ def test_algebraic_expansion_inverts_once_per_step(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
+        scalars_module,
+        "_elem_inverse",
+        counted("_elem_inverse", scalars_module._elem_inverse),
+    )
+    monkeypatch.setattr(
         poly, "extended_gcd", counted("extended_gcd", poly.extended_gcd)
     )
     monkeypatch.setattr(cf_module, "jpa_step", counted("jpa_step", jpa_step))
     e = jpa_expand(theta, 48)
     assert e.depth == 48 and e.tail.kind == "truncated"
-    assert counts == {"extended_gcd": 48, "jpa_step": 48}
+    # the inverse runs the remainder loop itself, not ``extended_gcd``
+    assert counts == {"_elem_inverse": 48, "extended_gcd": 0, "jpa_step": 48}
+
+
+def test_exact_loop_states_are_not_checked_again(monkeypatch):
+    # a state the loop built from exact entries is valid by construction:
+    # the quartic's 48 steps test 3 signs for the input's positivity, 3
+    # for the check of the input state and one termination sign per step
+    # (every state checked again made 195)
+    g = algebraic([-2, 0, 0, 0, 1], 1, 2)
+    theta = [1, g, g * g, g * g * g]
+    calls = [0]
+    sign = scalars_module._elem_sign
+
+    def counting(*args):
+        calls[0] += 1
+        return sign(*args)
+
+    monkeypatch.setattr(scalars_module, "_elem_sign", counting)
+    e = jpa_expand(theta, 48)
+    assert e.depth == 48 and e.tail.kind == "truncated"
+    assert calls[0] == 54
+
+
+def test_interval_states_are_still_checked():
+    # a step from interval data can leave an entry of uncertain sign: here
+    # the fractional part [0, 1/10] of [2, 21/10] over [3/10, 4/10]
+    state = ScalarVector(
+        [
+            rational(1),
+            interval(Fraction(13, 10), Fraction(14, 10)),
+            interval(2, Fraction(21, 10)),
+        ]
+    )
+    digits, nxt = jpa_step(state)
+    assert digits == (1, 2)
+    with pytest.raises(NonPositiveState, match="cannot certify the sign"):
+        jpa_step(nxt)
+
+
+def test_scalar_mat_vec_matches_termwise_sum():
+    # one reduction per row gives the unique normal form that adding the
+    # reduced terms one by one gives, demotions to rationals included
+    rng = rng_for("mat-vec-rows")
+    fields = [
+        NumberField([-2, 0, 0, 0, 1], 1, 2),
+        NumberField([-1, 2, 0, 7], 0, 1),  # not monic
+        NumberField([6, -2, -3, 1], 1, 2),  # (x^2 - 2)(x - 3), root sqrt 2
+    ]
+
+    def rand():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    vectors = [[rational(1), rational(7, 5)], [rational(0), rational(-3, 4), rational(5)]]
+    for trial in range(90):
+        field = fields[trial % len(fields)]
+        vec = []
+        for _ in range(rng.randint(2, 5)):
+            if rng.randrange(3):
+                coeffs = [rand() for _ in range(rng.randint(0, field.degree))]
+                vec.append(AlgebraicScalar(field, coeffs))
+            else:
+                vec.append(rational(rand()))
+        vec.append(vec[0])  # a row with c and -c on it cancels
+        vectors.append(vec)
+    # other vectors add term by term
+    vectors.append([rational(1), interval(1, 2), rational(-3, 2)])
+    vectors.append([golden(), golden()])  # two field objects, one root
+    for vec in vectors:
+        n = len(vec)
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        m.append([1] + [0] * (n - 2) + [-1])
+        m.append([0] * n)
+        got = scalar_mat_vec(m, vec)
+        want = termwise_mat_vec(m, vec)
+        assert len(got) == len(want) == n + 2
+        for a, b in zip(got, want):
+            _assert_same_scalar(a, b)
+            if isinstance(a, AlgebraicScalar):
+                assert (a.num, a.den) == (b.num, b.den)
 
 
 # ---------------------------------------------------------------- recurrence filter

@@ -8,8 +8,15 @@ from pathlib import Path
 import pytest
 
 from conftest import reference_expand_one, rng_for, tribonacci_vector
-from jperron import cli
-from jperron.cf import Expansion, Tail, expansion_to_json
+from jperron import cli, intmat
+from jperron.cf import (
+    Expansion,
+    Tail,
+    expansion_to_json,
+    jpa_expand,
+    scalar_mat_vec,
+    step_matrix,
+)
 from jperron.errors import JperronError, MalformedInput
 from jperron.scalars import ScalarVector, algebraic, rational, vector_to_json
 
@@ -146,6 +153,37 @@ def test_bratteli_compare(tmp_path):
     ne = run_cli("bratteli", "--compare", paths["a"], paths["c"], "--format", "text")
     assert ne.returncode == 0
     assert "not equivalent" in ne.stdout
+
+
+def test_bratteli_text_budget_is_the_period_search_budget(capsys):
+    # (1, phi) pushed through the step matrices (2), (3), ..., (34) has
+    # canonical preperiod 33 and period 1: the default 32 steps see no
+    # period, 40 steps do
+    m = intmat.identity(2)
+    for d in range(2, 35):
+        m = intmat.mat_mul(m, step_matrix((d,)))
+    phi = algebraic([-1, -1, 1], 1, 2)
+    theta = ScalarVector(scalar_mat_vec(m, [rational(1), phi])).normalized()
+    expansion = json.dumps(expansion_to_json(jpa_expand(theta, 4)))
+    argv = ["bratteli", "--format", "text", "--theta", expansion]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.endswith("stationary: False\n")
+    assert cli.main(argv + ["--budget", "40"]) == 0
+    assert capsys.readouterr().out.endswith("stationary: True\n")
+
+
+def test_represent_without_a_tail_vector_reports_the_alignment(capsys):
+    # the alignment consumes the whole terminated base stream
+    job = json.dumps({
+        "theta": [1, "7/5", "11/5"],
+        "generators": [{"name": "g", "matrix": [[1, 0, 0], [0, 1, 0], [0, 2, 1]]}],
+    })
+    assert cli.main(["represent", "--theta", job]) == 0
+    entries = json.loads(capsys.readouterr().out)["report"]["entries"]
+    assert [e["kind"] for e in entries] == ["reconstruction", "alignment", "aperiodicity"]
+    assert cli.main(["represent", "--theta", job, "--format", "text"]) == 0
+    kinds = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[2:]]
+    assert kinds == ["[FLAG] reconstruction (g)", "[ok] alignment", "[ok] aperiodicity"]
 
 
 def test_represent_identity_action(tmp_path):

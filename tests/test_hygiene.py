@@ -4,7 +4,9 @@ private function or class is left without a reference.  A second copy
 of a decision tends to leave exactly these behind when the first copy
 takes over.  The package is also kept exact: no float literal, no
 inexact ``math`` function, and ``float(...)`` only where the recurrence
-search rounds an enclosure outward and as the infinite sentinel."""
+search rounds an enclosure outward and as the infinite sentinel.  Field
+decisions read integer enclosure bounds, never the Fraction wrapper
+``evaluate_interval``."""
 
 import ast
 from pathlib import Path
@@ -150,3 +152,27 @@ def test_the_exactness_scan_sees_floats():
         "math.sqrt call",
     ]
     assert {what for _, _, what in _float_uses(MODULES["cf"])} == {"float() call"}
+
+
+def _calls_to(tree, name):
+    """Lines of ``tree`` that call ``name``, bare or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"polynomials"}))
+def test_decisions_read_integer_enclosure_bounds(module):
+    # signs, zero tests, floors and boxes read ``_interval_bounds``;
+    # ``evaluate_interval`` is its Fraction wrapper for callers outside
+    # the package
+    assert _calls_to(MODULES[module], "evaluate_interval") == []
+
+
+def test_the_call_scan_sees_calls():
+    tree = ast.parse("import p\np.evaluate_interval(1, 2, 3)\nevaluate_interval()\n")
+    assert _calls_to(tree, "evaluate_interval") == [2, 3]
+    assert _calls_to(MODULES["scalars"], "_interval_bounds") != []

@@ -195,6 +195,34 @@ def test_interval_evaluation_matches_fraction_horner():
     assert poly.evaluate_interval((), Fraction(-1), Fraction(2)) == (0, 0)
 
 
+def test_interval_bounds_match_fraction_horner():
+    # the integer form behind every sign, zero test, floor and box
+    rng = rng_for("ival-bounds")
+    cases = [((), Fraction(-1), Fraction(2)), ((), Fraction(3), Fraction(3))]
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        if trial % 2:
+            p = tuple(rng.randint(-10**4, 10**4) for _ in range(n))
+        else:
+            p = tuple(
+                Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 10**3))
+                for _ in range(n)
+            )
+        a = Fraction(rng.randint(-10**3, 10**3), rng.randint(1, 50))
+        b = a + Fraction(rng.randint(0, 10**3), rng.randint(1, 50))
+        if trial % 3 == 0:
+            a, b = -abs(a) - b * b, -abs(a)  # negative endpoints
+        elif trial % 3 == 1:
+            a, b = rng.randint(-20, 0), rng.randint(0, 20)  # int endpoints
+        cases.append((p, a, b))
+    for p, a, b in cases:
+        vlo, vhi, den = poly._interval_bounds(p, a, b)
+        assert type(den) is int and den > 0
+        assert type(vlo) is int and type(vhi) is int
+        want = _fraction_horner_interval(p, Fraction(a), Fraction(b))
+        assert (Fraction(vlo, den), Fraction(vhi, den)) == want, (p, a, b)
+
+
 def test_to_int_poly_normalizes():
     # leading coefficient is the last entry and ends up positive
     assert poly.to_int_poly((Fraction(2, 3), Fraction(-4, 3))) == (-1, 2)

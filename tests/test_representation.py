@@ -615,7 +615,7 @@ def test_failed_reconstruction_voids_faithfulness():
 
 def test_verify_without_a_tail_vector():
     # the alignment consumes the whole terminated base stream, so there is
-    # no tail vector: verify stops after the relations
+    # no tail vector: verify reports that and stops after the relations
     theta, actions, relations = job_from_json({
         "theta": [1, "7/5", "11/5"],
         "generators": [{"name": "g", "matrix": [[1, 0, 0], [0, 1, 0], [0, 2, 1]]}],
@@ -630,6 +630,12 @@ def test_verify_without_a_tail_vector():
     assert [(e.kind, e.ok, e.message) for e in report.entries] == [
         ("reconstruction", False, "image reconstruction failed (base False, tail unchecked)"),
         ("relation", True, "relation 0 holds"),
+        (
+            "alignment",
+            True,
+            "tail entry state unavailable (alignment consumed the whole "
+            "base stream); fixed-point checks are skipped",
+        ),
         ("aperiodicity", True, "tail vector unavailable; aperiodicity unchecked"),
     ]
 

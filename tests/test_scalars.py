@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from conftest import fraction_extended_gcd, rng_for
+from conftest import fraction_gcd, fraction_inverse, rng_for
 from jperron import polynomials as poly
 from jperron.errors import IndeterminateFloor, MalformedInput
 from jperron.scalars import (
@@ -13,6 +13,8 @@ from jperron.scalars import (
     Ordering,
     RationalScalar,
     ScalarVector,
+    _elem_inverse,
+    _split,
     algebraic,
     compare,
     floor_exact,
@@ -332,16 +334,6 @@ def _ref_reduce(coeffs, modulus):
     return tuple(Fraction(c) for c in poly.div_mod(poly.trim(coeffs), modulus)[1])
 
 
-def _ref_inverse(c, modulus):
-    # Euclid over Q, splitting off the factor a zero divisor shares with a
-    # reducible modulus
-    g, u, _ = fraction_extended_gcd(c, modulus)
-    if poly.degree(g) == 0:
-        return u
-    cofactor = poly.div_mod(modulus, g)[0]
-    return _ref_inverse(poly.div_mod(c, cofactor)[1], cofactor)
-
-
 def _ref_vanishes(coeffs, root_factor):
     return poly.div_mod(poly.trim(coeffs), root_factor)[1] == ()
 
@@ -423,11 +415,39 @@ def test_field_kernel_matches_fraction_reference():
                 with pytest.raises(ZeroDivisionError):
                     a / b
             else:
-                ref = _ref_reduce(poly.mul(ca, _ref_inverse(_ref_reduce(cb, mod), mod)), mod)
+                ref = _ref_reduce(poly.mul(ca, fraction_inverse(_ref_reduce(cb, mod), mod)), mod)
                 assert _kernel_coeffs(a / b) == ref
             if not isinstance(b, AlgebraicScalar) and not _ref_vanishes(ca, root_factor):
-                inv = _ref_inverse(_ref_reduce(ca, mod), mod)
+                inv = fraction_inverse(_ref_reduce(ca, mod), mod)
                 assert _kernel_coeffs(b / a) == _ref_reduce(poly.mul(cb, inv), mod)
+
+
+def test_elem_inverse_matches_fraction_inverse():
+    # one fraction-free remainder loop carrying one cofactor gives the
+    # inverse as (numerators, denominator) in lowest terms, for Fraction
+    # and int coefficients, and modulo the cofactor for a zero divisor
+    rng = rng_for("elem-inverse")
+    zero_divisors = 0
+    for modulus, lo, hi, root_factor in KERNEL_FIELDS:
+        field = NumberField(modulus, lo, hi)
+        mod = field.modulus
+        root_factor = root_factor or mod
+        for c, _ in _kernel_operands(rng, field, root_factor):
+            c = _ref_reduce(c, mod)
+            for coeffs in (c, _split(c)[0]):
+                if _ref_vanishes(coeffs, root_factor):
+                    with pytest.raises(ZeroDivisionError):
+                        _elem_inverse(coeffs, field)
+                    continue
+                zero_divisors += poly.degree(fraction_gcd(coeffs, mod)) > 0
+                num, den = _elem_inverse(coeffs, field)
+                assert type(den) is int and den > 0
+                assert all(type(x) is int for x in num)
+                assert num and num[-1] != 0 and len(num) <= field.degree
+                assert gcd(den, *num) == 1
+                want = poly.trim(fraction_inverse(coeffs, mod))
+                assert tuple(Fraction(x, den) for x in num) == want
+    assert zero_divisors >= 2
 
 
 @pytest.mark.parametrize("modulus, lo, hi", [
