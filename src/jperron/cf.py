@@ -319,15 +319,17 @@ def _positive_state(theta):
     return vec.normalized()
 
 
-def _stepped(exp):
+def _stepped(exp, boxes=None):
     """Mark ``exp`` as stepped from its ``theta`` by ``_expand``, so a period
-    search may replay its states.  ``dataclasses.replace`` builds a new
-    instance, which does not carry the mark."""
+    search may replay its states and a run may join it; ``boxes`` are the
+    recurrence boxes of its first states, kept for the runs that join it.
+    ``dataclasses.replace`` builds a new instance, which carries neither."""
     object.__setattr__(exp, "_stepped", True)
+    object.__setattr__(exp, "_boxes", boxes or ())
     return exp
 
 
-def _expand(state, depth, search=0, prefix=None):
+def _expand(state, depth, search=0, join=None):
     """The Jacobi-Perron loop from a normalized state, for ``jpa_expand``,
     ``detect_period`` and ``expand_certified``.
 
@@ -335,26 +337,46 @@ def _expand(state, depth, search=0, prefix=None):
     rational state runs in integers.  In the first ``search`` steps an
     exact state that recurs stops it with a certified periodic tail.  An
     indeterminate floor is raised within the first ``depth`` steps; after
-    them it stops the loop, leaving a truncated tail.  ``prefix``, a run
-    marked ``_stepped`` from ``state``, is replayed block by block and
-    searched as if stepped again; ``jpa_step`` runs only past it.  A
-    rational state needs no search, so its kernel starts over.
+    them it stops the loop, leaving a truncated tail.
+
+    ``join`` is an exact run marked ``_stepped``.  Until the loop meets
+    it, each exact state is looked up among ``join.states`` with the
+    recurrence search's test.  From a state equal to ``join.states[j]``
+    on, ``join``'s blocks and states from j are replayed instead of
+    stepped, and ``jpa_step`` resumes past its last stepped state.  The
+    recurrence search runs over the replayed states as over stepped
+    ones, so blocks, states and tail are those of the loop without
+    ``join``.  A run stepped from ``state`` itself is met at j = 0 and
+    extended.  A rational state needs no search, so its kernel starts
+    over.
     """
     if _all_rational(state):
         # a rational state never recurs: the integer heads strictly
         # decrease and the unimodular steps keep the gcd of the vector
         return _stepped(_rational_expand(state, max(depth, search)))
     exact = all(e.is_exact() for e in state.entries)
-    replay = 0 if prefix is None else min(len(prefix.blocks), len(prefix.states) - 1)
+    if not exact:
+        join = None  # interval states have no exact equality
     states = [state]
-    boxes = [_box(state)] if exact and search else None
     blocks = []
     tail = Tail.truncated()
     residual = None
+    box = _box(state) if exact and (search or join) else None
+    boxes = [box] if exact and search else None
+    # ``at``: the index in ``join`` of the current state, once they met
+    at = None
+    if join is not None:
+        jboxes = list(join._boxes)
+        jboxes += [None] * (len(join.states) - len(jboxes))
+        replay = min(len(join.blocks), len(join.states) - 1)
+        at = _find_state(join.states, jboxes, state, box)
     for k in range(max(depth, search)):
-        if k < replay:
-            digits, nxt = prefix.blocks[k], prefix.states[k + 1]
+        if at is not None and at < replay:
+            digits, nxt = join.blocks[at], join.states[at + 1]
+            at += 1
+            box = jboxes[at]
         else:
+            box = None
             try:
                 digits, nxt = jpa_step(state)
             except IndeterminateFloor:
@@ -366,7 +388,16 @@ def _expand(state, depth, search=0, prefix=None):
             tail = Tail.terminated()
             residual = _terminal_residual(state, digits)
             break
-        j = _find_recurrence(states, boxes, nxt) if exact and k < search else None
+        searching = exact and k < search
+        looking = join is not None and at is None
+        if box is None and (searching or looking):
+            box = _box(nxt)
+        if looking:
+            at = _find_state(join.states, jboxes, nxt, box)
+        j = None
+        if searching:
+            j = _find_state(states, boxes, nxt, box)
+            boxes.append(box)
         state = nxt
         states.append(state)
         if j is not None:
@@ -382,7 +413,7 @@ def _expand(state, depth, search=0, prefix=None):
         theta=states[0],
         states=tuple(states),
         residual=residual,
-    ))
+    ), boxes)
 
 
 def jpa_expand(theta, max_depth):
@@ -409,11 +440,12 @@ def expand_certified(theta, depth, budget):
     return _certified_run(_positive_state(theta), depth, budget)[0]
 
 
-def _certified_run(state, depth, budget):
+def _certified_run(state, depth, budget, join=None):
     """(``expand_certified`` result, the whole run it was cut from) for a
-    normalized positive state."""
+    normalized positive state, joining the run ``join`` (see ``_expand``)
+    when given."""
     exact = all(e.is_exact() for e in state.entries)
-    run = _expand(state, depth, budget if exact else 0)
+    run = _expand(state, depth, budget if exact else 0, join=join)
     if run.tail.kind != TRUNCATED or run.depth <= depth:
         return run, run
     exp = Expansion(
@@ -619,29 +651,30 @@ def _disjoint(a, b):
     return False
 
 
-def _find_recurrence(states, boxes, candidate):
-    """Index of the first state in ``states`` equal to ``candidate``, or None;
-    the candidate's box is appended to ``boxes``.
+def _find_state(states, boxes, candidate, box):
+    """Index of the first state in ``states`` equal to ``candidate``, whose
+    box is ``box``, or None.  ``boxes[j]`` is the box of ``states[j]``, or
+    None when it was not read yet.
 
-    A state whose box misses the candidate's in some coordinate cannot
+    The candidate itself is equal at once.  A state whose box misses the candidate's in some coordinate cannot
     equal it.  A box that meets the candidate's is read again, at the
     field's current enclosure (a box stored early is wide), and the exact
     ``compare`` runs only if they still meet.  The reduced coordinates are
     never compared as data: over a reducible modulus equal values can be
     stored differently.
     """
-    cand = _box(candidate)
     for j, st in enumerate(states):
-        if _disjoint(boxes[j], cand):
+        if st is candidate:
+            return j
+        if boxes[j] is not None and _disjoint(boxes[j], box):
             continue
         boxes[j] = _box(st)
-        if _disjoint(boxes[j], cand):
+        if _disjoint(boxes[j], box):
             continue
         if all(
             compare(a, b) is Ordering.EQ for a, b in zip(st.entries, candidate.entries)
         ):
             return j
-    boxes.append(cand)
     return None
 
 
@@ -690,10 +723,10 @@ def _tail_verdict(exp, certified, terminated_note, periodic_note):
     )
 
 
-def _period_verdict(state, depth_budget, prefix=None):
+def _period_verdict(state, depth_budget, join=None):
     """The verdict of a ``depth_budget``-step search from a normalized
-    state, extending ``prefix`` (see ``_expand``) when given."""
-    exp = _expand(state, 0, depth_budget, prefix=prefix)
+    state, joining the run ``join`` (see ``_expand``) when given."""
+    exp = _expand(state, 0, depth_budget, join=join)
     if exp.tail.kind == TRUNCATED:
         # the search stops short of its budget only where a floor of
         # interval data became indeterminate
@@ -722,7 +755,7 @@ def _detect_period_expansion(exp, budget):
         )
     if exp.theta is not None and all(e.is_exact() for e in exp.theta):
         if getattr(exp, "_stepped", False):
-            return _period_verdict(exp.theta, budget, prefix=exp)
+            return _period_verdict(exp.theta, budget, join=exp)
         return detect_period(exp.theta, budget)
     return PeriodVerdict(
         kind="aperiodic_up_to",

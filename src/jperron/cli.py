@@ -197,6 +197,9 @@ def _expand_text(exp, payload):
 
 
 def cmd_bratteli(args):
+    # --format json and dot read no budget, and reject a negative one too
+    if args.budget is not None and args.budget < 0:
+        raise MalformedInput("budget %d is negative" % args.budget)
     if args.compare:
         exps = []
         for path in args.compare:

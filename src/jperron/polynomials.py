@@ -211,7 +211,12 @@ def _interval_bounds(p, lo, hi):
     """
     if not p:
         return 0, 0, 1
-    nums, d = _over_one_den(p[::-1])
+    nums = p[::-1]
+    # field numerators are ints already: no common denominator to find
+    if all(isinstance(c, int) for c in nums):
+        d = 1
+    else:
+        nums, d = _over_one_den(nums)
     lq, hq = lo.denominator, hi.denominator
     q = lq // int_gcd(lq, hq) * hq
     a = lo.numerator * (q // lq)

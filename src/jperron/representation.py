@@ -411,7 +411,9 @@ def build_representation(theta, actions, depth_budget=24):
                     "generator %r maps theta outside the positive cone" % a.name
                 )
             img_vec = img_vec.normalized()
-            exps[a.name] = _certified_run(img_vec, depth_budget, 2 * depth_budget)[0]
+            exps[a.name] = _certified_run(
+                img_vec, depth_budget, 2 * depth_budget, join=base_run
+            )[0]
             images[a.name] = img_vec
             supplied[a.name] = a.matrix
         else:
@@ -486,7 +488,7 @@ def _tail_subject(rep):
     used only if ``_expand`` stepped it, ``base_expansion`` was cut from it
     and its state at ``theta_offset`` is the very object ``theta_max``, so
     a representation or run edited with ``dataclasses.replace`` is
-    searched from scratch."""
+    searched from scratch.  The run's recurrence boxes go with its states."""
     run, t = rep.base_run, rep.theta_offset
     cut = getattr(run, "_stepped", False) and run.theta is rep.base_expansion.theta
     states = run.states[t:] if cut else ()
@@ -498,7 +500,7 @@ def _tail_subject(rep):
         tail=Tail.truncated(),
         theta=rep.theta_max,
         states=states,
-    ))
+    ), run._boxes[t:])
 
 
 def verify(rep, relations=(), budget=32):

@@ -532,6 +532,8 @@ _REJECTED_ARGS = {
     "compare negative offset budget": ["bratteli", "--compare", "A", "A", "--budget", "-1"],
     "expand negative budget": ["expand", "--budget", "-1", "--theta", RATIONAL_THETA],
     "dot negative depth": ["bratteli", "--format", "dot", "--depth", "-4", "--theta", _EXPANSION],
+    "json negative budget": ["bratteli", "--format", "json", "--budget", "-1", "--theta", _EXPANSION],
+    "dot negative budget": ["bratteli", "--format", "dot", "--budget", "-1", "--theta", _EXPANSION],
     "non-integer option": ["expand", "--depth", "abc", "--theta", RATIONAL_THETA],
     "no command": [],
     "unknown command": ["nosuch"],

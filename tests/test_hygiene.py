@@ -6,7 +6,8 @@ takes over.  The package is also kept exact: no float literal, no
 inexact ``math`` function, and ``float(...)`` only where the recurrence
 search rounds an enclosure outward and as the infinite sentinel.  Field
 decisions read integer enclosure bounds, never the Fraction wrapper
-``evaluate_interval``."""
+``evaluate_interval``, and every image run of ``build_representation``
+joins the base run."""
 
 import ast
 from pathlib import Path
@@ -154,14 +155,19 @@ def test_the_exactness_scan_sees_floats():
     assert {what for _, _, what in _float_uses(MODULES["cf"])} == {"float() call"}
 
 
-def _calls_to(tree, name):
-    """Lines of ``tree`` that call ``name``, bare or as an attribute."""
+def _call_nodes(tree, name):
+    """The calls of ``name`` in ``tree``, bare or as an attribute."""
     return [
-        node.lineno
+        node
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
+
+
+def _calls_to(tree, name):
+    """Lines of ``tree`` that call ``name``, bare or as an attribute."""
+    return [node.lineno for node in _call_nodes(tree, name)]
 
 
 @pytest.mark.parametrize("module", sorted(set(MODULES) - {"polynomials"}))
@@ -176,3 +182,15 @@ def test_the_call_scan_sees_calls():
     tree = ast.parse("import p\np.evaluate_interval(1, 2, 3)\nevaluate_interval()\n")
     assert _calls_to(tree, "evaluate_interval") == [2, 3]
     assert _calls_to(MODULES["scalars"], "_interval_bounds") != []
+
+
+def test_image_runs_join_the_base_run():
+    # an image run without ``join`` is stepped 2 * depth_budget times
+    # instead of until it meets a state of the base run
+    calls = _call_nodes(MODULES["representation"], "_certified_run")
+    base = [c for c in calls if ast.unparse(c.args[0]) == "base"]
+    images = [c for c in calls if c not in base]
+    assert len(base) == 1 and images
+    for call in images:
+        joins = [ast.unparse(k.value) for k in call.keywords if k.arg == "join"]
+        assert joins == ["base_run"], "line %d" % call.lineno

@@ -198,7 +198,11 @@ def test_interval_evaluation_matches_fraction_horner():
 def test_interval_bounds_match_fraction_horner():
     # the integer form behind every sign, zero test, floor and box
     rng = rng_for("ival-bounds")
-    cases = [((), Fraction(-1), Fraction(2)), ((), Fraction(3), Fraction(3))]
+    cases = [
+        ((), Fraction(-1), Fraction(2)),
+        ((), Fraction(3), Fraction(3)),
+        ((5, -3, 0, 2), Fraction(-7, 3), Fraction(11, 4)),  # all int
+    ]
     for trial in range(300):
         n = rng.randint(1, 6)
         if trial % 2:
@@ -221,6 +225,14 @@ def test_interval_bounds_match_fraction_horner():
         assert type(vlo) is int and type(vhi) is int
         want = _fraction_horner_interval(p, Fraction(a), Fraction(b))
         assert (Fraction(vlo, den), Fraction(vhi, den)) == want, (p, a, b)
+
+
+def test_interval_bounds_of_int_coefficients_skip_the_common_denominator(monkeypatch):
+    # field numerators are ints: the bounds need no gcd per coefficient
+    monkeypatch.setattr(poly, "_over_one_den", None)
+    p, a, b = (5, -3, 0, 2), Fraction(-7, 3), Fraction(11, 4)
+    vlo, vhi, den = poly._interval_bounds(p, a, b)
+    assert (Fraction(vlo, den), Fraction(vhi, den)) == _fraction_horner_interval(p, a, b)
 
 
 def test_to_int_poly_normalizes():

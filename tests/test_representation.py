@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import reference_common_tail_bounded, reference_verify, rng_for
+from conftest import (
+    reference_common_tail_bounded,
+    reference_verify,
+    rng_for,
+    tribonacci_vector,
+)
 from jperron import cf as cf_module
 from jperron import representation as representation_module
 from jperron.cf import (
@@ -40,7 +45,7 @@ from jperron.representation import (
     representation_to_json,
     verify,
 )
-from jperron.scalars import ScalarVector, algebraic, rational
+from jperron.scalars import Ordering, ScalarVector, algebraic, compare, rational
 
 
 def periodic_exp(prefix, period, rank):
@@ -886,3 +891,196 @@ def test_verify_restarts_on_an_edited_representation(count_steps):
     assert verify(moved, budget=12) == reference_verify(
         moved, budget=12
     )
+
+
+# ---------------------------------------------------------------- image runs join the base run
+
+
+def _plain_certified_run(state, depth, budget, join=None):
+    return cf_module._certified_run(state, depth, budget)
+
+
+def _equal_vectors(u, v):
+    return len(u) == len(v) and all(
+        compare(a, b) is Ordering.EQ for a, b in zip(u, v)
+    )
+
+
+def _assert_same_run(got, want):
+    assert (got.rank, got.blocks, got.tail) == (want.rank, want.blocks, want.tail)
+    assert len(got.states) == len(want.states)
+    for a, b in zip(got.states, want.states):
+        assert _equal_vectors(a.entries, b.entries)
+    assert (got.residual is None) == (want.residual is None)
+    if want.residual is not None:
+        assert _equal_vectors(got.residual, want.residual)
+
+
+def _assert_joined_run_matches(image, base_run, depth_budget):
+    joined = cf_module._certified_run(
+        image, depth_budget, 2 * depth_budget, join=base_run
+    )
+    plain = cf_module._certified_run(image, depth_budget, 2 * depth_budget)
+    for got, want in zip(joined, plain):
+        _assert_same_run(got, want)
+
+
+def _assert_join_changes_nothing(monkeypatch, theta, actions, depth_budget):
+    """The build with image runs joined to the base run equals the build
+    without, and so does every image's whole run."""
+    rep = build_representation(theta, actions, depth_budget)
+    with monkeypatch.context() as m:
+        m.setattr(representation_module, "_certified_run", _plain_certified_run)
+        plain = build_representation(theta, actions, depth_budget)
+    assert representation_to_json(rep) == representation_to_json(plain)
+    assert rep.expansions.keys() == plain.expansions.keys()
+    for name, exp in plain.expansions.items():
+        _assert_same_run(rep.expansions[name], exp)
+        _assert_joined_run_matches(rep.images[name], rep.base_run, depth_budget)
+    return rep
+
+
+def _catalog_jobs(rng):
+    """Step-word jobs as in the benchmark catalog: a base vector two or
+    three Jacobi-Perron steps into a tribonacci, pure cubic or quartic
+    vector, and two or three generators, each a word of one to three
+    admissible step matrices."""
+    g4 = algebraic([-2, 0, 0, 0, 1], 1, 2)
+    quartic = [rational(1)] + [
+        sum(
+            (rational(rng.randint(1, 5), rng.randint(1, 5)) * g4 ** i for i in range(4)),
+            rational(0),
+        )
+        for _ in range(3)
+    ]
+    thetas = [tribonacci_vector(), ScalarVector(quartic)]
+    for m in (2, 3, 10):
+        g = algebraic([-m, 0, 0, 1], 1, 3)
+        thetas.append(ScalarVector([rational(1), g, g * g]))
+    for theta in thetas:
+        start = rng.randint(2, 3)
+        base = jpa_expand(theta, start + 1).states[start]
+        actions = []
+        for i in range(rng.randint(2, 3)):
+            blocks = [admissible_block(rng, base.rank) for _ in range(rng.randint(1, 3))]
+            actions.append(GeneratorAction("g%d" % i, matrix=prepend_blocks(base, blocks)[1]))
+        yield base, actions
+
+
+def _b3_job(rng, rank=6, generators=5):
+    """The paper regime: theta = (1, g, ..., g^(rank-1)) with g^rank = 2
+    and step-word generators; returns the words' lengths too."""
+    g = algebraic([-2] + [0] * (rank - 1) + [1], 1, 2)
+    theta = ScalarVector([g ** i if i else rational(1) for i in range(rank)])
+    actions, lengths = [], []
+    for i in range(generators):
+        blocks = [admissible_block(rng, rank) for _ in range(rng.randint(1, 3))]
+        actions.append(GeneratorAction("g%d" % i, matrix=prepend_blocks(theta, blocks)[1]))
+        lengths.append(len(blocks))
+    return theta, actions, lengths
+
+
+def test_joined_builds_match_catalog_jobs(monkeypatch):
+    rng = rng_for("join-catalog")
+    for base, actions in _catalog_jobs(rng):
+        _assert_join_changes_nothing(monkeypatch, base, actions, 8)
+
+
+def test_joined_build_matches_the_paper_regime(monkeypatch):
+    theta, actions, _ = _b3_job(rng_for("join-b3"))
+    rep = _assert_join_changes_nothing(monkeypatch, theta, actions, 24)
+    assert rep.base_run.depth == 48
+
+
+def test_join_of_an_image_that_never_meets_the_base(count_steps):
+    # I + E_01 on (1, g, g^2), g^4 = 2: no state of the image equals one
+    # of the base run, so the image is stepped all the way
+    g = algebraic([-2, 0, 0, 0, 1], 1, 2)
+    theta = ScalarVector([rational(1), g, g * g])
+    image = ScalarVector(scalar_mat_vec([[1, 1, 0], [0, 1, 0], [0, 0, 1]], theta.entries))
+    base_run = cf_module._certified_run(theta, 10, 20)[1]
+    _assert_joined_run_matches(image.normalized(), base_run, 10)
+    count_steps.clear()
+    cf_module._certified_run(image.normalized(), 10, 20, join=base_run)
+    assert len(count_steps) == 20
+
+
+def test_join_past_the_end_of_the_base_run(count_steps):
+    # an image meeting base state j after k < j steps replays the base run
+    # to its end and steps the remaining j - k itself
+    g = algebraic([-2, 0, 0, 0, 1], 1, 2)
+    theta = ScalarVector([rational(1), g, g * g, g * g * g])
+    base_run = cf_module._certified_run(theta, 8, 16)[1]
+    assert base_run.tail.kind == "truncated" and base_run.depth == 16
+    for j, blocks in ((3, [(1, 0, 2)]), (5, [(0, 1, 2), (2, 1, 3)])):
+        image, _ = prepend_blocks(base_run.states[j], blocks)
+        _assert_joined_run_matches(image, base_run, 8)
+        count_steps.clear()
+        run = cf_module._certified_run(image, 8, 16, join=base_run)[1]
+        assert run.depth == 16 and len(count_steps) == j
+        assert run.states[len(blocks)] is not base_run.states[j]
+        assert run.states[len(blocks) + 1] is base_run.states[j + 1]
+
+
+def test_join_crosses_a_periodic_base_run(monkeypatch, count_steps):
+    # the replay runs through the base's recurrence, met at its start and
+    # inside its cycle; the image's own search certifies the period
+    g = algebraic([-3, 0, 0, 1], 1, 2)
+    for theta in (tribonacci_vector(), ScalarVector([rational(1), g, g * g])):
+        base_run = cf_module._certified_run(theta, 8, 16)[1]
+        assert base_run.tail.kind == "periodic"
+        for j in (0, base_run.tail.preperiod, len(base_run.states) - 2):
+            for blocks in ([(1, 3)], [(0, 2), (2, 3)]):
+                image, _ = prepend_blocks(base_run.states[j], blocks)
+                _assert_joined_run_matches(image, base_run, 8)
+                count_steps.clear()
+                run = cf_module._certified_run(image, 8, 16, join=base_run)[1]
+                assert run.tail.kind == "periodic"
+                assert len(count_steps) < len(run.blocks)
+        actions = [
+            GeneratorAction("a", matrix=prepend_blocks(theta, [(1, 3)])[1]),
+            GeneratorAction("b", matrix=prepend_blocks(theta, [(0, 2), (2, 3)])[1]),
+        ]
+        _assert_join_changes_nothing(monkeypatch, theta, actions, 8)
+
+
+def test_join_over_a_reducible_modulus(count_steps):
+    # over (x^3 - 2)(x - 3), r and r + (r^3 - 2) are the same value stored
+    # differently: the image meets the base run by value, not by storage
+    r = algebraic([6, -2, 0, -3, 1], 1, 2)
+    zero = r * r * r - 2
+    theta = ScalarVector([rational(1), r, r * r])
+    stored_apart = ScalarVector([rational(1), r + zero, r * r])
+    base_run = cf_module._certified_run(stored_apart, 8, 16)[1]
+    for blocks in ([(1, 3)], [(0, 2), (2, 3)], [(1, 2), (0, 1), (2, 4)]):
+        image, _ = prepend_blocks(theta, blocks)
+        plain = cf_module._certified_run(image, 8, 16)[1]
+        met = plain.states[len(blocks)]
+        assert met.entries[1].num != base_run.states[0].entries[1].num
+        assert _equal_vectors(met.entries, base_run.states[0].entries)
+        _assert_joined_run_matches(image, base_run, 8)
+        count_steps.clear()
+        cf_module._certified_run(image, 8, 16, join=base_run)
+        assert len(count_steps) == len(blocks)
+
+
+def test_an_image_meeting_the_base_run_after_k_steps_takes_k_steps(count_steps):
+    g = algebraic([-2, 0, 0, 0, 1], 1, 2)
+    theta = ScalarVector([rational(1), g, g * g, g * g * g])
+    base_run = cf_module._certified_run(theta, 24, 48)[1]
+    rng = rng_for("join-k-steps")
+    for k in (1, 2, 3):
+        image, _ = prepend_blocks(theta, [admissible_block(rng, 4) for _ in range(k)])
+        count_steps.clear()
+        exp, run = cf_module._certified_run(image, 24, 48, join=base_run)
+        assert len(count_steps) == k
+        assert exp.depth == 24 and run.depth == 48
+
+
+def test_paper_regime_build_steps_the_base_run_once(count_steps):
+    # each image used to take 2 * 24 steps of its own, 6 * 48 in all
+    theta, actions, lengths = _b3_job(rng_for("join-b3"))
+    count_steps.clear()
+    rep = build_representation(theta, actions, depth_budget=24)
+    assert len(count_steps) == 48 + sum(lengths) < 6 * 48
+    assert rep.offsets == {a.name: k for a, k in zip(actions, lengths)}
