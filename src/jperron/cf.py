@@ -29,7 +29,6 @@ from .errors import (
 )
 from .scalars import (
     AlgebraicScalar,
-    IntervalScalar,
     Ordering,
     RationalScalar,
     Scalar,
@@ -205,21 +204,11 @@ def projectively_equal(u, v):
     return True
 
 
-class _ExactState(ScalarVector):
-    """A state that ``jpa_step`` built from exact entries.  It is valid by
-    construction: its head is 1, its fractional parts are >= 0 and 1/f_1
-    is > 0."""
-
-    __slots__ = ()
-
-
 def _check_state(state):
     # Interior states may carry exact zeros (a coordinate whose fractional
     # part vanished on an earlier step); only negative or uncertifiable
     # entries are rejected here.  Strict positivity of the original input
     # is enforced by jpa_expand.
-    if isinstance(state, _ExactState):
-        return state
     state = ScalarVector.coerce(state)
     if compare(state[0], rational(1)) is not Ordering.EQ:
         raise MalformedInput("state vector must be normalized to leading 1")
@@ -238,7 +227,12 @@ def jpa_step(state):
     Returns (digit block, next state); the next state is None when the
     first fractional part vanishes and the expansion terminates.
     """
-    state = _check_state(state)
+    return _step(_check_state(state))
+
+
+def _step(state):
+    """``jpa_step`` of a valid state (head 1, entries >= 0), as is every
+    state a step builds, even where interval data cannot certify a sign."""
     digits = tuple(floor_exact(x) for x in state.entries[1:])
     fracs = [x - b for x, b in zip(state.entries[1:], digits)]
     s0 = fracs[0].sign()
@@ -251,10 +245,7 @@ def jpa_step(state):
     nxt = [rational(1)]
     nxt.extend(f * inv for f in fracs[1:])
     nxt.append(inv)
-    # interval data can leave a fractional part of uncertain sign
-    if any(isinstance(x, IntervalScalar) for x in state.entries):
-        return digits, ScalarVector(nxt)
-    return digits, _ExactState(nxt)
+    return digits, ScalarVector(nxt)
 
 
 def _terminal_residual(state, digits):
@@ -339,24 +330,28 @@ def _expand(state, depth, search=0, join=None):
     indeterminate floor is raised within the first ``depth`` steps; after
     them it stops the loop, leaving a truncated tail.
 
-    ``join`` is an exact run marked ``_stepped``.  Until the loop meets
-    it, each exact state is looked up among ``join.states`` with the
-    recurrence search's test.  From a state equal to ``join.states[j]``
-    on, ``join``'s blocks and states from j are replayed instead of
-    stepped, and ``jpa_step`` resumes past its last stepped state.  The
-    recurrence search runs over the replayed states as over stepped
-    ones, so blocks, states and tail are those of the loop without
-    ``join``.  A run stepped from ``state`` itself is met at j = 0 and
-    extended.  A rational state needs no search, so its kernel starts
-    over.
+    Only the caller's ``state`` is checked; later states are valid by
+    construction.
+
+    ``join`` is a run of exact states, used only if ``_expand`` stepped
+    it (a run rebuilt with ``dataclasses.replace`` is not).  Until the
+    loop meets it, each exact state is looked up among ``join.states``
+    with the recurrence search's test.  From a state equal to
+    ``join.states[j]`` on, ``join``'s blocks and states from j are
+    replayed instead of stepped, and stepping resumes past its last
+    stepped state.  The recurrence search runs over the replayed states
+    as over stepped ones, so blocks, states and tail are those of the
+    loop without ``join``.  A run stepped from ``state`` itself is met at
+    j = 0 and extended.  A rational state needs no search, so its kernel
+    starts over.
     """
     if _all_rational(state):
         # a rational state never recurs: the integer heads strictly
         # decrease and the unimodular steps keep the gcd of the vector
         return _stepped(_rational_expand(state, max(depth, search)))
     exact = all(e.is_exact() for e in state.entries)
-    if not exact:
-        join = None  # interval states have no exact equality
+    if not exact or not getattr(join, "_stepped", False):
+        join = None  # no exact equality, or a run the loop did not step
     states = [state]
     blocks = []
     tail = Tail.truncated()
@@ -378,7 +373,7 @@ def _expand(state, depth, search=0, join=None):
         else:
             box = None
             try:
-                digits, nxt = jpa_step(state)
+                digits, nxt = _step(state if k else _check_state(state))
             except IndeterminateFloor:
                 if k < depth:
                     raise
@@ -687,17 +682,14 @@ def detect_period(subject, budget=32):
     Terminated means the input was rationally dependent.  When nothing
     recurs within the searched depth the verdict is an honest "aperiodic
     up to depth", never a certificate.  A truncated expansion with exact
-    ``theta`` gets the verdict of its ``theta``; when it is a run that
-    ``_expand`` stepped from ``theta`` and nobody rebuilt, the search
-    extends its states instead of expanding ``theta`` again.
+    ``theta`` gets the verdict of its ``theta``; the search joins the
+    expansion (see ``_expand``), so a run that ``_expand`` stepped from
+    ``theta`` is extended instead of expanded again.
     """
     _check_budget(budget)
     if isinstance(subject, Expansion):
         return _detect_period_expansion(subject, budget)
-    vec = ScalarVector.coerce(subject)
-    if not vec[0].sign():  # zero, or an interval containing zero
-        raise NonPositiveState("cannot divide by the leading entry %r" % (vec[0],))
-    return _period_verdict(vec.normalized(), budget)
+    return _period_verdict(subject, budget)
 
 
 def _tail_verdict(exp, certified, terminated_note, periodic_note):
@@ -723,9 +715,14 @@ def _tail_verdict(exp, certified, terminated_note, periodic_note):
     )
 
 
-def _period_verdict(state, depth_budget, join=None):
-    """The verdict of a ``depth_budget``-step search from a normalized
-    state, joining the run ``join`` (see ``_expand``) when given."""
+def _period_verdict(subject, depth_budget, join=None):
+    """The verdict of a ``depth_budget``-step search from the vector
+    ``subject``, joining the run ``join`` (see ``_expand``) when given."""
+    _check_budget(depth_budget)
+    vec = ScalarVector.coerce(subject)
+    if not vec[0].sign():  # zero, or an interval containing zero
+        raise NonPositiveState("cannot divide by the leading entry %r" % (vec[0],))
+    state = vec.normalized()
     exp = _expand(state, 0, depth_budget, join=join)
     if exp.tail.kind == TRUNCATED:
         # the search stops short of its budget only where a floor of
@@ -754,9 +751,7 @@ def _detect_period_expansion(exp, budget):
             "expansion carries a periodic tag",
         )
     if exp.theta is not None and all(e.is_exact() for e in exp.theta):
-        if getattr(exp, "_stepped", False):
-            return _period_verdict(exp.theta, budget, join=exp)
-        return detect_period(exp.theta, budget)
+        return _period_verdict(exp.theta, budget, join=exp)
     return PeriodVerdict(
         kind="aperiodic_up_to",
         depth=exp.depth,

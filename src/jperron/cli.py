@@ -36,7 +36,7 @@ from .representation import (
     representation_to_json,
     verify,
 )
-from .scalars import _check_exponent, vector_from_json
+from .scalars import _check_exponent, scalar_from_json, vector_from_json
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -87,9 +87,16 @@ def _error(kind, message, position=None):
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _exact_number(text):
+    """A JSON number with a fraction or an exponent, read exactly from its
+    text (a float would round it)."""
+    _check_exponent(text)
+    return Fraction(text)
+
+
 def _load_json(text):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=_exact_number)
     except json.JSONDecodeError as exc:
         raise MalformedInput(str(exc), position=exc.pos) from exc
     except ValueError as exc:
@@ -109,20 +116,12 @@ def _read_input(args):
 
 
 def _coerce_entry(entry, mode):
-    if isinstance(entry, bool):
-        raise MalformedInput("booleans are not scalars")
-    if isinstance(entry, (int, float, str)):
-        try:
-            text = str(entry)
-            _check_exponent(text)
-            value = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedInput("cannot read %r as a number" % (entry,)) from exc
-        pair = [value.numerator, value.denominator]
-        if mode == "interval":
-            return {"ivl": {"lo": pair, "hi": pair}}
-        return {"rat": pair}
-    return entry
+    """In interval mode a bare number is the point interval at its value."""
+    if mode != "interval" or not isinstance(entry, (int, Fraction, str)):
+        return entry
+    value = scalar_from_json(entry).value
+    pair = [value.numerator, value.denominator]
+    return {"ivl": {"lo": pair, "hi": pair}}
 
 
 def _theta_from_obj(obj, mode):
@@ -134,7 +133,7 @@ def _theta_from_obj(obj, mode):
 def _looks_like_scalar(obj):
     if isinstance(obj, dict):
         return True
-    if isinstance(obj, (int, float, str)):
+    if isinstance(obj, (int, Fraction, str)):
         return True
     if (
         isinstance(obj, list)

@@ -25,9 +25,8 @@ from .cf import (
     Expansion,
     Tail,
     _certified_run,
-    _stepped,
+    _period_verdict,
     canonical_periodic,
-    detect_period,
     expansion_from_json,
     prefix_product,
     projectively_equal,
@@ -134,7 +133,8 @@ def common_tail(expansions, depth_budget=16):
     search goes through the longest aligned suffix: for each stream and
     cut that may give it, every other stream takes its least cut whose
     suffix is a prefix of that one, so m streams cost at most
-    m^2 (depth_budget + 1)^2 prefix tests.
+    m^2 (depth_budget + 1)^2 prefix tests, and no more for a budget
+    beyond the data.
     """
     if depth_budget < 0:
         raise MalformedInput("depth budget %d is negative" % depth_budget)
@@ -194,22 +194,30 @@ def _agree(a, ca, b, cb):
 
 
 def _common_tail_bounded(exps, depth_budget):
-    need = max(e.depth for e in exps) + depth_budget + 8
-    realized = [e.realize(need) for e in exps]
-    budget = range(depth_budget + 1)
+    # A stream's cuts stop where its data does: a finite suffix is empty
+    # from the stored length on, and a periodic one repeats from preperiod
+    # + period length on, at a larger total.  Realized this far, each
+    # periodic stream outlasts every finite suffix, and two periodic
+    # suffixes that agree on their overlap agree for ever (Fine and Wilf).
+    cycles = [
+        e.tail.preperiod + len(e.tail.period) if e.tail.kind == PERIODIC else 0
+        for e in exps
+    ]
+    realized = [e.realize(max(e.depth for e in exps) + 3 * max(cycles)) for e in exps]
+    caps = [min(depth_budget + 1, c or len(s)) for c, s in zip(cycles, realized)]
 
     # Suffixes that agree pairwise are all prefixes of the longest one.  So
     # try each stream and cut for the longest suffix: every stream then
     # takes, on its own, its least cut whose suffix is a prefix of that one.
     best = (float("inf"), None)
-    for longest in realized:
-        for ck in range(min(depth_budget + 1, len(longest))):
+    for longest, cap in zip(realized, caps):
+        for ck in range(cap):
             if ck > best[0]:
                 break
             room = len(longest) - ck
             cuts = []
-            for s in realized:
-                fits = range(max(0, len(s) - room), min(depth_budget + 1, len(s)))
+            for s, cap_s in zip(realized, caps):
+                fits = range(max(0, len(s) - room), cap_s)
                 c = next((c for c in fits if _agree(s, c, longest, ck)), None)
                 if c is None:
                     break
@@ -224,8 +232,8 @@ def _common_tail_bounded(exps, depth_budget):
         for j in range(1, len(realized)):
             if not any(
                 _agree(realized[0], c0, realized[j], cj)
-                for c0 in budget
-                for cj in budget
+                for c0 in range(caps[0])
+                for cj in range(caps[j])
             ):
                 raise NoCommonTail(
                     "stream %d never aligns with stream 0 within budget %d"
@@ -329,7 +337,10 @@ class Representation:
         return self.matrices[name]
 
 
-def _reconstruction_entries(matrices, offsets, exps, images, theta, theta_max):
+def _reconstruction_entries(matrices, supplied, images, theta):
+    """One entry per generator: is A*theta its image, projectively?  An
+    A equal to the supplied M needs no field arithmetic: the image is
+    M*theta.  (P_g(k)*theta_max is A*theta up to a scalar.)"""
     entries = []
     for name, a in matrices.items():
         image = images.get(name)
@@ -343,14 +354,10 @@ def _reconstruction_entries(matrices, offsets, exps, images, theta, theta_max):
                 )
             )
             continue
-        ok_base = projectively_equal(scalar_mat_vec(a, theta.entries), image.entries)
-        ok_tail = "unchecked"  # there is no tail vector to map to the image
-        if theta_max is not None:
-            q = prefix_product(exps[name], offsets[name])
-            ok_tail = projectively_equal(
-                scalar_mat_vec(q, theta_max.entries), image.entries
-            )
-        ok = ok_base and ok_tail is not False
+        m = supplied.get(name)
+        ok = (m is not None and intmat.mat_eq(a, m)) or projectively_equal(
+            scalar_mat_vec(a, theta.entries), image.entries
+        )
         entries.append(
             ReportEntry(
                 "reconstruction",
@@ -358,8 +365,7 @@ def _reconstruction_entries(matrices, offsets, exps, images, theta, theta_max):
                 name,
                 "A*theta matches the image exactly"
                 if ok
-                else "image reconstruction failed (base %s, tail %s)"
-                % (ok_base, ok_tail),
+                else "image reconstruction failed: A*theta is not the image",
             )
         )
     return entries
@@ -445,9 +451,7 @@ def build_representation(theta, actions, depth_budget=24):
     if exp_theta.states is not None and theta_offset < len(exp_theta.states):
         theta_max = exp_theta.states[theta_offset]
 
-    entries = _reconstruction_entries(
-        matrices, offsets, exps, images, base, theta_max
-    )
+    entries = _reconstruction_entries(matrices, supplied, images, base)
     if theta_max is None:
         entries.append(_no_tail_entry())
     report = VerificationReport(entries=tuple(entries))
@@ -481,28 +485,6 @@ def evaluate_word(rep, word):
     return out
 
 
-def _tail_subject(rep):
-    """What ``verify`` hands to ``detect_period``: the stored base run from
-    ``theta_offset`` on, as a stepped run of ``theta_max`` that the search
-    extends, or ``theta_max`` itself, searched from scratch.  The run is
-    used only if ``_expand`` stepped it, ``base_expansion`` was cut from it
-    and its state at ``theta_offset`` is the very object ``theta_max``, so
-    a representation or run edited with ``dataclasses.replace`` is
-    searched from scratch.  The run's recurrence boxes go with its states."""
-    run, t = rep.base_run, rep.theta_offset
-    cut = getattr(run, "_stepped", False) and run.theta is rep.base_expansion.theta
-    states = run.states[t:] if cut else ()
-    if not states or states[0] is not rep.theta_max:
-        return rep.theta_max
-    return _stepped(Expansion(
-        rank=run.rank,
-        blocks=run.blocks[t:len(run.states) - 1],
-        tail=Tail.truncated(),
-        theta=rep.theta_max,
-        states=states,
-    ), run._boxes[t:])
-
-
 def verify(rep, relations=(), budget=32):
     """Audit a representation and return the full report.
 
@@ -520,15 +502,13 @@ def verify(rep, relations=(), budget=32):
     relation is a question asked of the matrices; its entry answers it.
 
     The periodicity search on the tail vector takes ``budget`` steps.  It
-    extends the base run that ``build_representation`` already searched
-    (its states from ``theta_offset`` on are replayed, not recomputed), and
-    restarts from ``theta_max`` when the representation no longer holds
-    that run; the verdict is the same either way.
+    joins the base run that ``build_representation`` already searched
+    (see ``cf._expand``): from a state equal to ``theta_max`` on, the
+    run's states are replayed, not recomputed.  The verdict is that of a
+    search from scratch either way.
     """
     ident = intmat.identity(rep.rank)
-    entries = _reconstruction_entries(
-        rep.matrices, rep.offsets, rep.expansions, rep.images, rep.theta, rep.theta_max
-    )
+    entries = _reconstruction_entries(rep.matrices, rep.supplied, rep.images, rep.theta)
     for idx, word in enumerate(relations):
         ok = intmat.mat_eq(evaluate_word(rep, word), ident)
         entries.append(
@@ -551,7 +531,7 @@ def verify(rep, relations=(), budget=32):
         )
         return VerificationReport(tuple(entries), None, "not_guaranteed")
 
-    verdict = detect_period(_tail_subject(rep), budget)
+    verdict = _period_verdict(rep.theta_max, budget, join=rep.base_run)
     aperiodic = not verdict.is_periodic and verdict.kind != TERMINATED
     if verdict.is_periodic:
         message = (
@@ -574,9 +554,12 @@ def verify(rep, relations=(), budget=32):
 
     for nm, a in rep.matrices.items():
         moves = not intmat.mat_eq(a, ident)
+        fixed = moves and fixes_tail(a)
         m = rep.supplied.get(nm)
         supplied_moves = m is not None and not intmat.mat_eq(m, ident)
-        if moves and fixes_tail(a):
+        same = m is not None and intmat.mat_eq(m, a)
+        supplied_fixed = fixed if same else supplied_moves and fixes_tail(m)
+        if fixed:
             entries.append(
                 ReportEntry(
                     "fixes_theta_max",
@@ -601,7 +584,7 @@ def verify(rep, relations=(), budget=32):
                     "fixed_point", True, nm, "matrix does not fix the tail vector"
                 )
             )
-        if supplied_moves and fixes_tail(m):
+        if supplied_fixed:
             entries.append(
                 ReportEntry(
                     "fixes_theta_max",

@@ -842,10 +842,13 @@ def _check_exponent(text):
 
 
 def int_from_json(x):
-    """A JSON integer: an int that is not a bool; floats and strings fail."""
+    """A JSON integer: an int that is not a bool; other numbers and strings
+    fail."""
     if isinstance(x, int) and not isinstance(x, bool):
         return x
-    raise MalformedInput("expected a JSON integer, got %r" % (x,))
+    raise MalformedInput(
+        "expected a JSON integer, got %s" % (x if isinstance(x, Fraction) else repr(x))
+    )
 
 
 def _fraction_from_json(obj):
@@ -879,12 +882,14 @@ def scalar_to_json(x):
 
 
 def scalar_from_json(obj):
-    """Decode a scalar; accepts {"rat": ...} objects or ["rat", ...] pairs."""
+    """Decode a scalar; accepts {"rat": ...} objects or ["rat", ...] pairs,
+    and bare numbers: an int, a decimal string, or a ``Fraction`` (the
+    exact value of a JSON number with a fraction or an exponent)."""
     if isinstance(obj, (list, tuple)) and len(obj) == 2 and isinstance(obj[0], str):
         obj = {obj[0]: obj[1]}
     if isinstance(obj, bool):
         raise MalformedInput("booleans are not scalars")
-    if isinstance(obj, int):
+    if isinstance(obj, (int, Fraction)):
         return rational(obj)
     if isinstance(obj, str):
         _check_exponent(obj)

@@ -23,7 +23,7 @@ from jperron.cf import (
     jpa_expand,
     jpa_step,
 )
-from jperron.cf import projectively_equal, scalar_mat_vec
+from jperron.cf import _stepped, prefix_product, projectively_equal, scalar_mat_vec
 from jperron.cli import _theta_from_obj
 from jperron.errors import JperronError, MalformedInput, NoCommonTail, RankMismatch
 from jperron.intmat import (
@@ -47,8 +47,6 @@ from jperron.representation import (
     ReportEntry,
     TailAlignment,
     VerificationReport,
-    _reconstruction_entries,
-    _tail_subject,
     build_representation,
     evaluate_word,
     verify,
@@ -310,20 +308,83 @@ def reference_verify(rep, relations=(), budget=32):
 # and left faithfulness conditional.
 
 
+def reference_reconstruction_checks(rep):
+    """The two reconstruction checks ``verify`` made before it made one:
+    {generator: (A*theta is the image, P_g(k)*theta_max is the image)},
+    projectively, each in field arithmetic; the second is "unchecked"
+    without a tail vector.  Generators without an exact image are left
+    out."""
+    checks = {}
+    for name, a in rep.matrices.items():
+        image = rep.images.get(name)
+        if image is None:
+            continue
+        ok_base = projectively_equal(
+            scalar_mat_vec(a, rep.theta.entries), image.entries
+        )
+        ok_tail = "unchecked"
+        if rep.theta_max is not None:
+            q = prefix_product(rep.expansions[name], rep.offsets[name])
+            ok_tail = projectively_equal(
+                scalar_mat_vec(q, rep.theta_max.entries), image.entries
+            )
+        checks[name] = (ok_base, ok_tail)
+    return checks
+
+
+def reference_reconstruction_entries(rep):
+    """The reconstruction entries over both checks, with their old
+    failure text."""
+    checks = reference_reconstruction_checks(rep)
+    entries = []
+    for name in rep.matrices:
+        if name not in checks:
+            entries.append(ReportEntry(
+                "reconstruction",
+                True,
+                name,
+                "no exact image vector supplied; contract unchecked",
+            ))
+            continue
+        ok_base, ok_tail = checks[name]
+        ok = ok_base and ok_tail is not False
+        entries.append(ReportEntry(
+            "reconstruction",
+            ok,
+            name,
+            "A*theta matches the image exactly"
+            if ok
+            else "image reconstruction failed (base %s, tail %s)" % (ok_base, ok_tail),
+        ))
+    return entries
+
+
+def reference_tail_subject(rep):
+    """What ``verify`` handed to ``detect_period`` before its search joined
+    the base run: the stored base run from ``theta_offset`` on, cut by
+    hand, when ``_expand`` stepped it, ``base_expansion`` was cut from it
+    and its state at ``theta_offset`` is the very object ``theta_max``;
+    else ``theta_max`` itself, searched from scratch."""
+    run, t = rep.base_run, rep.theta_offset
+    cut = getattr(run, "_stepped", False) and run.theta is rep.base_expansion.theta
+    states = run.states[t:] if cut else ()
+    if not states or states[0] is not rep.theta_max:
+        return rep.theta_max
+    return _stepped(Expansion(
+        rank=run.rank,
+        blocks=run.blocks[t:len(run.states) - 1],
+        tail=Tail.truncated(),
+        theta=rep.theta_max,
+        states=states,
+    ), run._boxes[t:])
+
+
 def flag_verify(rep, relations=(), budget=32):
-    """``verify`` with faithfulness decided by three flags."""
+    """``verify`` with faithfulness decided by three flags, over the two
+    reconstruction checks and the hand-cut tail subject."""
     ident = identity(rep.rank)
     names = list(rep.matrices)
-    entries = list(
-        _reconstruction_entries(
-            rep.matrices,
-            rep.offsets,
-            rep.expansions,
-            rep.images,
-            rep.theta,
-            rep.theta_max,
-        )
-    )
+    entries = reference_reconstruction_entries(rep)
 
     for idx, word in enumerate(relations):
         value = evaluate_word(rep, word)
@@ -360,7 +421,7 @@ def flag_verify(rep, relations=(), budget=32):
         )
         hypotheses_ok = False
     else:
-        verdict = detect_period(_tail_subject(rep), budget)
+        verdict = detect_period(reference_tail_subject(rep), budget)
         if verdict.is_periodic:
             stationary = True
             hypotheses_ok = False
@@ -472,8 +533,38 @@ def flag_verify(rep, relations=(), budget=32):
     )
 
 
-def assert_agrees_with_flag_verify(report, want):
-    assert report.entries == want.entries
+RECONSTRUCTION_FAILED = "image reconstruction failed: A*theta is not the image"
+
+
+def _tail_vector_in_line(rep):
+    """Is theta = lambda * P_theta(t) * theta_max, the expansion's
+    reconstruction contract, for the representation as given?"""
+    q = prefix_product(rep.base_expansion, rep.theta_offset)
+    return projectively_equal(
+        scalar_mat_vec(q, rep.theta_max.entries), rep.theta.entries
+    )
+
+
+def assert_agrees_with_flag_verify(report, want, rep):
+    """``verify`` against ``flag_verify``.  The one reconstruction check is
+    the old A*theta check.  The old tail check, P_g(k)*theta_max, is the
+    same vector up to a scalar while theta_max is in line with
+    ``theta_offset``, and only a failure's text changed."""
+    checks = reference_reconstruction_checks(rep)
+    in_line = rep.theta_max is None or _tail_vector_in_line(rep)
+    assert len(report.entries) == len(want.entries)
+    for got, old in zip(report.entries, want.entries):
+        if got.kind == "reconstruction" and got.generator in checks:
+            ok_base, ok_tail = checks[got.generator]
+            assert got.ok == ok_base
+            if in_line:
+                assert ok_tail in (ok_base, "unchecked")
+            message = "A*theta matches the image exactly" if got.ok else (
+                RECONSTRUCTION_FAILED
+            )
+            assert got == dataclasses.replace(old, ok=got.ok, message=message)
+        else:
+            assert got == old
     assert report.stationary == want.stationary
     if report.has_flag("reconstruction"):
         assert report.faithfulness == "not_guaranteed"
@@ -524,7 +615,7 @@ def verify_agrees_with_flag_verify():
         if isinstance(want, tuple):
             assert report == want
         else:
-            assert_agrees_with_flag_verify(report, want)
+            assert_agrees_with_flag_verify(report, want, rep)
     _VERIFY_LOG.clear()
 
 

@@ -590,7 +590,7 @@ def test_rational_paths_never_call_the_scalar_step(monkeypatch):
     def refuse(*args):
         raise AssertionError("scalar path taken on rational input")
 
-    monkeypatch.setattr(cf_module, "jpa_step", refuse)
+    monkeypatch.setattr(cf_module, "_step", refuse)
     monkeypatch.setattr(intmat, "mat_mul", refuse)
     e = jpa_expand([1, Fraction(7, 5), Fraction(11, 5)], 32)
     assert e.blocks == ((1, 2), (0, 2), (1, 2))
@@ -717,13 +717,13 @@ def test_expand_certified_matches_search_then_expand():
 def test_expand_certified_expands_once(monkeypatch):
     # no period within the budget: the search steps are reused, not redone
     calls = []
-    step = cf_module.jpa_step
+    step = cf_module._step
 
     def counting(state):
         calls.append(state)
         return step(state)
 
-    monkeypatch.setattr(cf_module, "jpa_step", counting)
+    monkeypatch.setattr(cf_module, "_step", counting)
     theta = _quartic()
     for depth, pre, per in ((6, 4, 4), (12, 4, 4), (0, 3, 2), (5, 0, 0)):
         calls.clear()
@@ -846,7 +846,7 @@ def test_jpa_step_matches_divided_step_ranks_2_to_5():
 def test_algebraic_expansion_inverts_once_per_step(monkeypatch):
     g = algebraic([-2, 0, 0, 0, 1], 1, 2)
     theta = [1, g, g * g, g * g * g]
-    counts = {"_elem_inverse": 0, "extended_gcd": 0, "jpa_step": 0}
+    counts = {"_elem_inverse": 0, "extended_gcd": 0, "_step": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -862,11 +862,11 @@ def test_algebraic_expansion_inverts_once_per_step(monkeypatch):
     monkeypatch.setattr(
         poly, "extended_gcd", counted("extended_gcd", poly.extended_gcd)
     )
-    monkeypatch.setattr(cf_module, "jpa_step", counted("jpa_step", jpa_step))
+    monkeypatch.setattr(cf_module, "_step", counted("_step", cf_module._step))
     e = jpa_expand(theta, 48)
     assert e.depth == 48 and e.tail.kind == "truncated"
     # the inverse runs the remainder loop itself, not ``extended_gcd``
-    assert counts == {"_elem_inverse": 48, "extended_gcd": 0, "jpa_step": 48}
+    assert counts == {"_elem_inverse": 48, "extended_gcd": 0, "_step": 48}
 
 
 def test_exact_loop_states_are_not_checked_again(monkeypatch):
@@ -1020,12 +1020,13 @@ def test_recurrence_filter_bounds_exact_compares(monkeypatch):
 
 def test_detect_period_extends_a_truncated_expansion(monkeypatch):
     calls = []
+    step = cf_module._step
 
     def counting(state):
         calls.append(state)
-        return jpa_step(state)
+        return step(state)
 
-    monkeypatch.setattr(cf_module, "jpa_step", counting)
+    monkeypatch.setattr(cf_module, "_step", counting)
     for theta in (_quartic(), tribonacci_vector(), _aperiodic_cubic()):
         for depth in (0, 1, 5, 9, 12):
             exp = jpa_expand(theta, depth)

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,14 @@ from jperron.cf import (
     step_matrix,
 )
 from jperron.errors import JperronError, MalformedInput
-from jperron.scalars import ScalarVector, algebraic, rational, vector_to_json
+from jperron import scalars as scalars_module
+from jperron.scalars import (
+    ScalarVector,
+    algebraic,
+    rational,
+    scalar_from_json,
+    vector_to_json,
+)
 
 RATIONAL_THETA = '[["rat",[1,1]],["rat",[7,5]],["rat",[11,5]]]'
 # the bound on decimal exponents is the one int() puts on decimal digits
@@ -314,20 +322,27 @@ def test_expand_rejects_huge_decimal_exponent():
 
 
 def test_decimal_exponent_checked_before_any_fraction(monkeypatch):
-    # the bound applies to the text, so no power of ten is ever built
-    def refuse(*args):
-        raise AssertionError("Fraction built for an out-of-range exponent")
+    # the bound applies to the text, so no power of ten is ever built: in a
+    # JSON number literal and in a decimal string, in either mode
+    class Refused(Fraction):
+        def __new__(cls, *args):
+            raise AssertionError("Fraction built for an out-of-range exponent")
 
-    monkeypatch.setattr(cli, "Fraction", refuse)
+    monkeypatch.setattr(cli, "Fraction", Refused)
+    monkeypatch.setattr(scalars_module, "Fraction", Refused)
     over = EXPONENT_LIMIT + 1
     for text in ("1e%d" % over, "2.5E-%d" % over, "1e999999999"):
         with pytest.raises(MalformedInput):
-            cli._coerce_entry(text, "rational")
+            cli._load_json("[1, %s]" % text)
+        for mode in ("rational", "interval"):
+            with pytest.raises(MalformedInput):
+                cli._theta_from_obj([text, 1], mode)
 
 
 def test_decimal_exponent_at_the_limit_is_read():
     text = "1e-%d" % EXPONENT_LIMIT
-    assert cli._coerce_entry(text, "rational") == {"rat": [1, 10**EXPONENT_LIMIT]}
+    assert cli._load_json(text) == Fraction(1, 10**EXPONENT_LIMIT)
+    assert scalar_from_json(text).value == Fraction(1, 10**EXPONENT_LIMIT)
     assert cli._coerce_entry("2.5e3", "interval") == {
         "ivl": {"lo": [2500, 1], "hi": [2500, 1]}
     }
@@ -410,7 +425,8 @@ def _expand_inputs():
     out.append((["1", "10946/6765"], "interval"))
     out.append(([1, {"ivl": {"lo": [14142, 10000], "hi": [14143, 10000]}}], "interval"))
     out.append(([1, {"ivl": {"lo": [12, 10], "hi": [13, 10]}}, "1.9"], "interval"))
-    # the second state has an entry of uncertain sign
+    # the second state has an entry of uncertain sign, >= 0 as the loop
+    # built it: the next termination test is indeterminate
     out.append(([1, "1.5", {"ivl": {"lo": [2, 1], "hi": [5, 2]}}], "interval"))
     return out
 
@@ -435,9 +451,7 @@ def test_expand_matches_search_then_expand_reference():
                 want = _expand_outcome(reference_expand_one, *args, *split)
                 assert got == want, (args, budget)
                 kinds.add(got[0] if isinstance(got, tuple) else got["tail"]["kind"])
-    assert kinds == {
-        "terminated", "truncated", "periodic", "IndeterminateFloor", "NonPositiveState"
-    }
+    assert kinds == {"terminated", "truncated", "periodic", "IndeterminateFloor"}
 
 
 _MALFORMED_JOBS = {
@@ -641,3 +655,78 @@ def test_readme_flag_table_matches_the_parser():
         for name, parser in sub.choices.items()
     }
     assert _readme_flag_table() == parsed
+
+
+# ------------------------------------------------- states the loop built
+
+
+_UNCERTAIN_SIGN = (
+    '[1, {"ivl": {"lo": [14,10], "hi": [15,10]}}, '
+    '{"ivl": {"lo": [2,1], "hi": [21,10]}}]'
+)
+
+
+def test_interval_state_built_by_the_loop_is_not_checked_again(capsys):
+    # the first step leaves the entry [0, 1/4]: >= 0 by construction, so
+    # the next step is indeterminate (exit 2), not a sign error (exit 1)
+    code = cli.main(["expand", "--theta", _UNCERTAIN_SIGN, "--depth", "5"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "indeterminate"
+    assert payload["message"].startswith("cannot decide termination")
+    assert cli.main(["expand", "--theta", _UNCERTAIN_SIGN, "--depth", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["blocks"] == [[1, 2]] and payload["tail"]["kind"] == "truncated"
+
+
+# ------------------------------------------------- JSON numbers read exactly
+
+
+def _main_json(capsys, *argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, json.loads(out) if out else json.loads(err)
+
+
+def test_json_number_literals_are_read_exactly(capsys):
+    # a float would read 1.00000000000000001 as 1 and terminate at once
+    code, payload = _main_json(
+        capsys, "expand", "--theta", "[1, 1.00000000000000001, 2.5]", "--depth", "3"
+    )
+    assert code == 0
+    assert payload["theta"][1] == {"rat": [100000000000000001, 10**17]}
+    _, want = _main_json(
+        capsys, "expand", "--theta", '[1, "1.00000000000000001", "5/2"]', "--depth", "3"
+    )
+    assert payload == want and payload["blocks"][0] == [1, 2]
+
+
+def test_json_number_literal_below_float_range_is_positive(capsys):
+    # a float underflows 1e-400 to 0, which is not strictly positive
+    code, payload = _main_json(capsys, "expand", "--theta", "[1, 1e-400, 2.5]", "--depth", "1")
+    assert code == 0
+    assert payload["theta"][1] == {"rat": [1, 10**400]}
+    assert payload["blocks"] == [[0, 2]]
+
+
+def test_represent_reads_json_number_literals(capsys):
+    job = '{"theta": [1, 1.5, 2.25], "generators": []}'
+    code, payload = _main_json(capsys, "represent", "--theta", job)
+    assert code == 0
+    _, want = _main_json(
+        capsys, "represent", "--theta", '{"theta": [1, "3/2", "9/4"], "generators": []}'
+    )
+    assert payload == want
+    code, expand = _main_json(capsys, "expand", "--theta", "[1, 1.5, 2.25]")
+    assert code == 0 and expand["theta"] == [{"rat": [1, 1]}, {"rat": [3, 2]}, {"rat": [9, 4]}]
+
+
+def test_json_number_literal_in_an_integer_position_is_malformed(capsys):
+    for job in (
+        '{"theta": [1, 1.5, 2.25], "generators": [], "rank": 3.0}',
+        '{"theta": [1, 1.5, 2.25], "generators": [{"name": "a", '
+        '"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1e0]]}]}',
+    ):
+        code, payload = _main_json(capsys, "represent", "--theta", job)
+        assert code == 1 and payload["error"] == "parse"

@@ -1,11 +1,15 @@
 import dataclasses
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import (
+    RECONSTRUCTION_FAILED,
     reference_common_tail_bounded,
+    reference_reconstruction_checks,
+    reference_tail_subject,
     reference_verify,
     rng_for,
     tribonacci_vector,
@@ -17,7 +21,6 @@ from jperron.cf import (
     Tail,
     detect_period,
     jpa_expand,
-    jpa_step,
     prefix_product,
     primitive_period,
     projectively_equal,
@@ -231,8 +234,16 @@ def _alignment_outcome(align, exps, budget):
 
 
 def _assert_same_alignment(exps, budget):
+    """The same alignment or error.  The tail is stream 0 from its offset
+    on, as far as it is realized: a periodic stream 0 is realized as far as
+    its data needs, not budget + 8 blocks past the longest stream."""
     got = _alignment_outcome(common_tail, exps, budget)
     want = _alignment_outcome(reference_common_tail_bounded, exps, budget)
+    if got[0] != "no common tail" and exps[0].tail.kind == "periodic":
+        tail, want_tail = got[1], want[1]
+        n = min(len(tail), len(want_tail))
+        assert tail[:n] == want_tail[:n] and n > got[4], (exps, budget)
+        got, want = got[:1] + got[2:], want[:1] + want[2:]
     assert got == want, (exps, budget)
     return got
 
@@ -610,9 +621,9 @@ def test_failed_reconstruction_voids_faithfulness():
     theta, actions, relations = _cube_root_job()
     rep = build_representation(theta, actions, depth_budget=4)
     report = verify(rep, relations, budget=8)
-    assert [e.message for e in report.failures()] == [
-        "image reconstruction failed (base False, tail False)"
-    ]
+    assert [e.message for e in report.failures()] == [RECONSTRUCTION_FAILED]
+    # both checks of the old audit failed; the one check stands for both
+    assert reference_reconstruction_checks(rep) == {"g": (False, False)}
     # the flags this rule replaced left it "conditional_depth_bounded"
     assert rep.certification == "depth_bounded"
     assert report.faithfulness == "not_guaranteed"
@@ -633,7 +644,7 @@ def test_verify_without_a_tail_vector():
     assert report.stationary is None
     assert report.faithfulness == "not_guaranteed"
     assert [(e.kind, e.ok, e.message) for e in report.entries] == [
-        ("reconstruction", False, "image reconstruction failed (base False, tail unchecked)"),
+        ("reconstruction", False, RECONSTRUCTION_FAILED),
         ("relation", True, "relation 0 holds"),
         (
             "alignment",
@@ -782,12 +793,13 @@ def test_representation_json(tribonacci):
 @pytest.fixture
 def count_steps(monkeypatch):
     calls = []
+    step = cf_module._step
 
     def counting(state):
         calls.append(state)
-        return jpa_step(state)
+        return step(state)
 
-    monkeypatch.setattr(cf_module, "jpa_step", counting)
+    monkeypatch.setattr(cf_module, "_step", counting)
     return calls
 
 
@@ -871,11 +883,14 @@ def test_verify_searches_an_edited_base_run_from_its_tail_vector():
 
 
 def test_verify_restarts_on_an_edited_representation(count_steps):
+    # the search joins the base run by value: an equal copy of the tail
+    # vector, or another base expansion, still meets the run's state and
+    # takes the 16 steps past its end, not the 32 of a fresh search
     rep = _quartic_representation(8)
-    fresh_steps = 32
     count_steps.clear()
     detect_period(rep.theta_max, 32)
-    assert len(count_steps) == fresh_steps
+    assert len(count_steps) == 32
+    joined_steps = 32 - rep.base_run.depth
     same_value = ScalarVector(list(rep.theta_max.entries))
     other_base = _quartic_representation(8).base_expansion
     for edited in (
@@ -884,7 +899,7 @@ def test_verify_restarts_on_an_edited_representation(count_steps):
     ):
         count_steps.clear()
         report = verify(edited, budget=32)
-        assert len(count_steps) == fresh_steps
+        assert len(count_steps) == joined_steps == 16
         assert report == reference_verify(edited, budget=32)
     # a tail vector swapped for another state of the base is searched anew
     moved = dataclasses.replace(rep, theta_max=rep.base_run.states[3])
@@ -1084,3 +1099,239 @@ def test_paper_regime_build_steps_the_base_run_once(count_steps):
     rep = build_representation(theta, actions, depth_budget=24)
     assert len(count_steps) == 48 + sum(lengths) < 6 * 48
     assert rep.offsets == {a.name: k for a, k in zip(actions, lengths)}
+
+
+# ---------------------------------------------------------------- one reconstruction check
+# ``verify`` and the build decide reconstruction with one check, A*theta
+# against the image, skipped when A equals the supplied matrix.  The old
+# audit also checked P_g(k)*theta_max, the same vector up to a scalar;
+# ``reference_reconstruction_checks`` runs both old checks.
+
+
+def _assert_one_check_agrees(rep):
+    """The build's and verify's entry against both old checks; returns
+    (entry ok, A equals M) per generator with an exact image."""
+    checks = reference_reconstruction_checks(rep)
+    entries = [e for e in verify(rep).entries if e.kind == "reconstruction"]
+    assert entries == [e for e in rep.report.entries if e.kind == "reconstruction"]
+    out = {}
+    for e in entries:
+        if e.generator not in checks:
+            continue
+        ok_base, ok_tail = checks[e.generator]
+        assert e.ok == ok_base
+        assert ok_tail in (ok_base, "unchecked")
+        assert e.message == (
+            "A*theta matches the image exactly" if e.ok else RECONSTRUCTION_FAILED
+        )
+        m = rep.supplied[e.generator]
+        out[e.generator] = (e.ok, m is not None and mat_eq(rep.matrices[e.generator], m))
+    return out
+
+
+def _transvection_word(rng, n):
+    m = identity(n)
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(n), 2)
+        e = identity(n)
+        e[i][j] = rng.choice((1, -1))
+        m = mat_mul(m, e)
+    return m
+
+
+def _b5_representations():
+    """Random words of one to three transvections I +- E_ij acting on
+    theta = (1, g, ..., g^(n-1)), g^d = 2, built at budget 24; images
+    outside the cone and streams without a common tail are skipped."""
+    for rank, degree in ((3, 3), (3, 6), (4, 4)):
+        g = algebraic([-2] + [0] * (degree - 1) + [1], 1, 2)
+        theta = ScalarVector([g ** i if i else rational(1) for i in range(rank)])
+        rng = rng_for("b5-%d-%d" % (rank, degree))
+        for _ in range(30):
+            action = GeneratorAction("g", matrix=_transvection_word(rng, rank))
+            try:
+                yield build_representation(theta, [action], 24)
+            except (NonPositiveImage, NoCommonTail):
+                continue
+
+
+def _b8_representation():
+    """The tribonacci stabilizer case: P = B(1, 1) fixes theta
+    projectively, so M = B(1, 2) * P gets A = B(1, 2), not M."""
+    q = step_matrix((1, 2))
+    m = mat_mul(q, step_matrix((1, 1)))
+    rep = build_representation(tribonacci_vector(), [GeneratorAction("m", matrix=m)], 8)
+    assert rep.matrices["m"] == q and rep.certification == "exact"
+    return rep
+
+
+def test_one_reconstruction_check_on_catalog_jobs():
+    seen = set()
+    rng = rng_for("one-check-catalog")
+    for _ in range(2):
+        for base, actions in _catalog_jobs(rng):
+            seen.update(_assert_one_check_agrees(build_representation(base, actions, 8)).values())
+    # step words align with theta by construction
+    assert seen == {(True, True)}
+
+
+def test_one_reconstruction_check_on_transvection_words():
+    seen = {}
+    for rep in _b5_representations():
+        for outcome in _assert_one_check_agrees(rep).values():
+            seen[outcome] = seen.get(outcome, 0) + 1
+    # aligned, falsely aligned (B6 is one), and A != M with the image
+    # reconstructed: the check runs in field arithmetic for the last two
+    assert set(seen) == {(True, True), (False, False), (True, False)}
+
+
+def test_one_reconstruction_check_on_the_cube_root_and_stabilizer_jobs():
+    theta, actions, _ = _cube_root_job()
+    assert _assert_one_check_agrees(build_representation(theta, actions, 4)) == {
+        "g": (False, False)
+    }
+    rep = _b8_representation()
+    assert _assert_one_check_agrees(rep) == {"m": (True, False)}
+    assert reference_reconstruction_checks(rep) == {"m": (True, True)}
+
+
+def test_reconstruction_of_an_equal_matrix_takes_no_field_arithmetic(monkeypatch):
+    # A = M: the image is M*theta by construction
+    rep = _quartic_representation(8)
+    assert all(mat_eq(rep.matrices[n], rep.supplied[n]) for n in rep.matrices)
+
+    def refuse(*args):
+        raise AssertionError("field arithmetic for an equal matrix")
+
+    monkeypatch.setattr(representation_module, "projectively_equal", refuse)
+    monkeypatch.setattr(representation_module, "scalar_mat_vec", refuse)
+    monkeypatch.setattr(representation_module, "prefix_product", refuse)
+    entries = representation_module._reconstruction_entries(
+        rep.matrices, rep.supplied, rep.images, rep.theta
+    )
+    assert [e.ok for e in entries] == [True, True]
+
+
+def test_reconstruction_ignores_a_tail_vector_out_of_line():
+    # a tail vector swapped for another state of the base no longer meets
+    # the offsets: the old tail check failed, the one check asks only
+    # whether A maps theta to the image
+    rep = _quartic_representation(8)
+    moved = dataclasses.replace(rep, theta_max=rep.base_run.states[3])
+    assert reference_reconstruction_checks(moved) == {"a": (True, False), "b": (True, False)}
+    report = verify(moved, budget=12)
+    assert [e.ok for e in report.entries if e.kind == "reconstruction"] == [True, True]
+
+
+def _edited_representations(rep):
+    run = rep.base_run
+    yield rep
+    yield dataclasses.replace(rep, theta_max=ScalarVector(list(rep.theta_max.entries)))
+    yield dataclasses.replace(rep, theta_max=ScalarVector([3 * x for x in rep.theta_max]))
+    yield dataclasses.replace(rep, base_run=dataclasses.replace(run))
+    yield dataclasses.replace(rep, base_run=None)
+    if len(run.states) > rep.theta_offset + 2:
+        yield dataclasses.replace(rep, theta_max=run.states[rep.theta_offset + 2])
+
+
+def test_joined_tail_search_matches_a_fresh_one_and_the_hand_cut_run():
+    for rep in _reuse_cases():
+        for edited in _edited_representations(rep):
+            for budget in (0, 4, 10, 32):
+                assert verify(edited, budget=budget) == reference_verify(edited, budget=budget)
+                got = cf_module._period_verdict(edited.theta_max, budget, join=edited.base_run)
+                want = detect_period(reference_tail_subject(edited), budget)
+                assert (got.kind, got.depth, got.preperiod, got.period, got.certified) == (
+                    want.kind, want.depth, want.preperiod, want.period, want.certified
+                )
+
+
+def test_audit_call_counts_on_the_benchmark_catalog(monkeypatch):
+    # one pass of the represent_audit catalog: 40 representations with 96
+    # generators, and one job without a common tail.  The old audit made
+    # 288 / 232 calls in the build and 384 / 96 in verify
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    counts = {"scalar_mat_vec": 0, "prefix_product": 0}
+    for name in counts:
+        fn = getattr(representation_module, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(representation_module, name, counted)
+    audit = workloads.RepresentAudit()
+    build, check = dict.fromkeys(counts, 0), dict.fromkeys(counts, 0)
+    reps = generators = 0
+    for spec in audit.generate(1):
+        p = audit.prepare(spec)
+        before = dict(counts)
+        try:
+            rep = build_representation(p["theta"], p["actions"], audit.DEPTH_BUDGET)
+        except NoCommonTail:
+            continue
+        middle = dict(counts)
+        verify(rep, [workloads.COMMUTATOR])
+        for name in counts:
+            build[name] += middle[name] - before[name]
+            check[name] += counts[name] - middle[name]
+        reps += 1
+        generators += len(rep.matrices)
+    assert (reps, generators) == (40, 96)
+    assert build == {"scalar_mat_vec": 96, "prefix_product": 136}
+    assert check == {"scalar_mat_vec": 96, "prefix_product": 0}
+
+
+# ---------------------------------------------------------------- bounded alignment cost
+
+
+def test_bounded_alignment_matches_the_enumerator_up_to_budget_64():
+    rng = rng_for("bounded-alignment-64")
+    b13 = [periodic_exp([], [(1, 1)], 3), _truncated([(1, 2), (0, 2), (3, 3)], rank=3)]
+    sets = [b13, b13[::-1]]
+    while len(sets) < 14:
+        shared = _random_blocks(rng, rng.randint(0, 12))
+        period = _random_period(rng)
+        exps = [_random_stream(rng, shared, period) for _ in range(2)]
+        if any(e.tail.kind == "periodic" for e in exps) and any(
+            e.tail.kind != "periodic" for e in exps
+        ):
+            sets.append(exps)
+    outcomes = set()
+    for exps in sets:
+        for budget in range(65):
+            got = _assert_same_alignment(exps, budget)
+            outcomes.add(got[0] == "no common tail")
+    assert outcomes == {True, False}
+
+
+def test_bounded_alignment_cost_stops_at_the_data(monkeypatch):
+    # B13, and a periodic stream that aligns with a truncated one: the
+    # prefix tests and realized blocks do not grow with the budget
+    counts = {"agree": 0, "block_at": 0}
+    agree, block_at = representation_module._agree, Expansion.block_at
+
+    def counted_agree(*args):
+        counts["agree"] += 1
+        return agree(*args)
+
+    def counted_block_at(self, i):
+        counts["block_at"] += 1
+        return block_at(self, i)
+
+    monkeypatch.setattr(representation_module, "_agree", counted_agree)
+    monkeypatch.setattr(Expansion, "block_at", counted_block_at)
+    pairs = [
+        [periodic_exp([], [(1, 1)], 3), _truncated([(1, 2), (0, 2), (3, 3)], rank=3)],
+        [periodic_exp([(4,), (0,)], [(1,), (2,)], 2), _truncated([(3,), (1,), (2,), (1,)])],
+    ]
+    for exps in pairs:
+        seen = []
+        for budget in (10**3, 10**6):
+            for key in counts:
+                counts[key] = 0
+            seen.append((_alignment_outcome(common_tail, exps, budget)[::4], dict(counts)))
+        assert seen[0] == seen[1], seen
+    assert seen[0][0][0] == (2, 1)
