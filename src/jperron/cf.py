@@ -227,30 +227,24 @@ def jpa_step(state):
     Returns (digit block, next state); the next state is None when the
     first fractional part vanishes and the expansion terminates.
     """
-    return _step(_check_state(state))
+    digits, _, nxt = _step(_check_state(state))
+    return digits, nxt
 
 
 def _step(state):
-    """``jpa_step`` of a valid state (head 1, entries >= 0), as is every
-    state a step builds, even where interval data cannot certify a sign."""
+    """(digits, parts, next state) of ``jpa_step`` for a valid state (head
+    1, entries >= 0), as is every state a step builds, even where interval
+    data cannot certify a sign.  ``parts`` are the fractional parts
+    (f_1, ..., f_{n-1}, 1): the next state normalizes them, and a
+    terminated step keeps them as its residual."""
     digits = tuple(floor_exact(x) for x in state.entries[1:])
-    fracs = [x - b for x, b in zip(state.entries[1:], digits)]
-    s0 = fracs[0].sign()
+    parts = ScalarVector(
+        [x - b for x, b in zip(state.entries[1:], digits)] + [rational(1)]
+    )
+    s0 = parts[0].sign()
     if s0 is None:
         raise IndeterminateFloor("cannot decide termination of %r" % (state,))
-    if s0 == 0:
-        return digits, None
-    # one field inverse per step: f / head is f times 1 / head, exactly
-    inv = rational(1) / fracs[0]
-    nxt = [rational(1)]
-    nxt.extend(f * inv for f in fracs[1:])
-    nxt.append(inv)
-    return digits, ScalarVector(nxt)
-
-
-def _terminal_residual(state, digits):
-    fracs = [x - b for x, b in zip(state.entries[1:], digits)]
-    return tuple(fracs + [rational(1)])
+    return digits, parts, (parts.normalized() if s0 else None)
 
 
 def _all_rational(state):
@@ -373,15 +367,16 @@ def _expand(state, depth, search=0, join=None):
         else:
             box = None
             try:
-                digits, nxt = _step(state if k else _check_state(state))
+                digits, parts, nxt = _step(state if k else _check_state(state))
             except IndeterminateFloor:
                 if k < depth:
                     raise
                 break
         blocks.append(digits)
         if nxt is None:
+            # only a stepped state terminates: a replayed one has a successor
             tail = Tail.terminated()
-            residual = _terminal_residual(state, digits)
+            residual = parts.entries
             break
         searching = exact and k < search
         looking = join is not None and at is None

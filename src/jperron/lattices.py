@@ -15,7 +15,6 @@ from math import gcd, lcm
 from typing import Optional
 
 from . import intmat
-from . import polynomials as poly
 from .errors import (
     FrameMismatch,
     InvalidGenus,
@@ -23,13 +22,11 @@ from .errors import (
     NonInvertibleLeadingEntry,
 )
 from .scalars import (
+    AlgebraicScalar,
     NumberField,
-    _elem_inverse,
-    _elem_sign,
+    ScalarVector,
     _fraction_from_json,
     _fraction_to_json,
-    _reduced,
-    _split,
     int_from_json,
 )
 
@@ -90,7 +87,7 @@ class CoordinateFrame:
         """Exact sign of a coordinate vector's value, None if undecidable."""
         if self.field is None:
             return None
-        return _elem_sign(poly.trim(coords), self.field)
+        return AlgebraicScalar(self.field, coords).sign()
 
     def __repr__(self):
         return "CoordinateFrame(%r%s)" % (
@@ -125,13 +122,19 @@ class PseudoLattice:
         (rows,) = _integerized(vecs)
         if len(intmat.nonzero_rows(intmat.hnf(rows)[0])) != len(vecs):
             raise MalformedInput("lattice vectors are not Q-linearly independent")
-        if self.positive is None and self.frame.field is not None:
-            signs = [self.frame.sign_of(v) for v in vecs]
-            object.__setattr__(self, "positive", all(s > 0 for s in signs))
+        if self.positive is None:
+            object.__setattr__(self, "positive", _positive(self.frame, vecs))
 
     @property
     def rank(self):
         return len(self.vectors)
+
+
+def _positive(frame, vectors):
+    """Whether every vector is positive, decided over a field frame only."""
+    if frame.field is None:
+        return None
+    return all(frame.sign_of(v) > 0 for v in vectors)
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,12 @@ def act(a, pl):
             if c:
                 coords = [x + c * y for x, y in zip(coords, pl.vectors[i])]
         new.append(tuple(coords))
-    return PseudoLattice(pl.frame, tuple(new), positive=None)
+    # a unimodular change of basis keeps the vectors independent, so the
+    # Hermite form of ``__post_init__`` is not run again
+    out = object.__new__(PseudoLattice)
+    positive = _positive(pl.frame, new)
+    vars(out).update(frame=pl.frame, vectors=tuple(new), positive=positive)
+    return out
 
 
 def scale(c, pl):
@@ -201,20 +209,15 @@ def project(pl):
     head = pl.vectors[0]
     unit = frame.unit_index
     if frame.field is not None:
-        inum, iden = _elem_inverse(head, frame.field)
+        vec = ScalarVector([AlgebraicScalar(frame.field, v) for v in pl.vectors])
         pad = (Fraction(0),) * frame.dimension
-        # lambda_1 / lambda_1 = 1 even where lambda_1 is a zero divisor, whose
-        # inverse is taken modulo a factor of a reducible modulus
-        new = [(Fraction(1),) + pad[1:]]
-        for v in pl.vectors[1:]:
-            vnum, vden = _split(v)
-            num, den = _reduced(frame.field.modulus, poly.mul(vnum, inum), vden * iden)
-            new.append(tuple(Fraction(c, den) for c in num) + pad[len(num):])
+        new = []
+        for x in vec.normalized():
+            coords = x.coeffs if isinstance(x, AlgebraicScalar) else (x.value,)
+            new.append(coords + pad[len(coords):])
         return ProjectivePseudoLattice(frame, tuple(new))
     if unit is not None and all(x == 0 for i, x in enumerate(head) if i != unit):
-        c = head[unit]
-        if c == 0:
-            raise NonInvertibleLeadingEntry("lambda_1 is zero")
+        c = head[unit]  # not 0: lambda_1 is a non-zero vector
         return ProjectivePseudoLattice(
             frame, tuple(tuple(x / c for x in v) for v in pl.vectors)
         )

@@ -494,7 +494,9 @@ def verify(rep, relations=(), budget=32):
     vector, and the free-action bookkeeping for generators whose image
     equals the tail vector.  Nothing is assumed: every failed check lands
     in the report.  Without a tail vector the report says so (the
-    build's ``alignment`` entry) in place of the tail checks.
+    build's ``alignment`` entry) in place of the tail checks; a tail
+    vector that is not exactly the base run's state at ``theta_offset``
+    gets a failing ``alignment`` entry.
 
     Faithfulness is read off the report: "not_guaranteed" without a tail
     vector or when any entry other than a relation failed, else
@@ -509,27 +511,25 @@ def verify(rep, relations=(), budget=32):
     """
     ident = intmat.identity(rep.rank)
     entries = _reconstruction_entries(rep.matrices, rep.supplied, rep.images, rep.theta)
+
+    def add(kind, ok, generator, message):
+        entries.append(ReportEntry(kind, ok, generator, message))
+
     for idx, word in enumerate(relations):
         ok = intmat.mat_eq(evaluate_word(rep, word), ident)
-        entries.append(
-            ReportEntry(
-                "relation",
-                ok,
-                None,
-                "relation %d %s" % (idx, "holds" if ok else "does NOT evaluate to I"),
-            )
-        )
+        outcome = "holds" if ok else "does NOT evaluate to I"
+        add("relation", ok, None, "relation %d %s" % (idx, outcome))
     if rep.theta_max is None:
         entries.append(_no_tail_entry())
-        entries.append(
-            ReportEntry(
-                "aperiodicity",
-                True,
-                None,
-                "tail vector unavailable; aperiodicity unchecked",
-            )
-        )
+        message = "tail vector unavailable; aperiodicity unchecked"
+        add("aperiodicity", True, None, message)
         return VerificationReport(tuple(entries), None, "not_guaranteed")
+    # the build stores that very state, so identity decides it for free
+    t, run = rep.theta_offset, rep.base_run
+    state = run.states[t] if run is not None and t < len(run.states) else None
+    if state is not rep.theta_max and (state is None or state != rep.theta_max):
+        message = "tail vector is not the base state at theta_offset %d" % t
+        add("alignment", False, None, message)
 
     verdict = _period_verdict(rep.theta_max, budget, join=rep.base_run)
     aperiodic = not verdict.is_periodic and verdict.kind != TERMINATED
@@ -545,7 +545,7 @@ def verify(rep, relations=(), budget=32):
         )
     else:
         message = "no period found up to depth %d (depth-bounded)" % verdict.depth
-    entries.append(ReportEntry("aperiodicity", aperiodic, None, message))
+    add("aperiodicity", aperiodic, None, message)
 
     tail = rep.theta_max.entries
 
@@ -560,51 +560,31 @@ def verify(rep, relations=(), budget=32):
         same = m is not None and intmat.mat_eq(m, a)
         supplied_fixed = fixed if same else supplied_moves and fixes_tail(m)
         if fixed:
-            entries.append(
-                ReportEntry(
-                    "fixes_theta_max",
-                    False,
-                    nm,
-                    "computed matrix fixes the tail vector projectively",
-                )
+            add(
+                "fixes_theta_max", False, nm,
+                "computed matrix fixes the tail vector projectively",
             )
             if aperiodic:
-                entries.append(
-                    ReportEntry(
-                        "internal_inconsistency",
-                        False,
-                        nm,
-                        "matrix fixes a tail vector that showed no period "
-                        "within budget; data or alignment is inconsistent",
-                    )
+                add(
+                    "internal_inconsistency", False, nm,
+                    "matrix fixes a tail vector that showed no period "
+                    "within budget; data or alignment is inconsistent",
                 )
         elif moves:
-            entries.append(
-                ReportEntry(
-                    "fixed_point", True, nm, "matrix does not fix the tail vector"
-                )
-            )
+            add("fixed_point", True, nm, "matrix does not fix the tail vector")
         if supplied_fixed:
-            entries.append(
-                ReportEntry(
-                    "fixes_theta_max",
-                    False,
-                    nm,
-                    "supplied action fixes the tail vector projectively",
-                )
+            add(
+                "fixes_theta_max", False, nm,
+                "supplied action fixes the tail vector projectively",
             )
         image = rep.images.get(nm)
         if (moves or supplied_moves) and image is not None and (
             projectively_equal(image.entries, tail)
         ):
-            entries.append(
-                ReportEntry(
-                    "free_action",
-                    False,
-                    nm,
-                    "generator fixes the base algebra but is not the "
-                    "identity: the free-action hypothesis fails",
-                )
+            add(
+                "free_action", False, nm,
+                "generator fixes the base algebra but is not the "
+                "identity: the free-action hypothesis fails",
             )
 
     if any(not e.ok and e.kind != "relation" for e in entries):

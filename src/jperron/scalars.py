@@ -293,7 +293,8 @@ class RationalScalar(Scalar):
         if isinstance(other, (int, Fraction)):
             return RationalScalar(self.value * other)
         if isinstance(other, Scalar):
-            return other * self
+            # 1 * x is x itself, with no arithmetic in x's kind
+            return other if self.value == 1 else other * self
         return NotImplemented
 
     __rmul__ = __mul__
@@ -764,6 +765,9 @@ class ScalarVector:
         for e in entries:
             if not isinstance(e, Scalar):
                 raise MalformedInput("vector entry %r is not a Scalar" % (e,))
+        kinds = set(map(type, entries))
+        if IntervalScalar in kinds and AlgebraicScalar in kinds:
+            raise MalformedInput("a vector cannot mix interval and algebraic entries")
         self.entries = entries
 
     @classmethod
@@ -786,11 +790,14 @@ class ScalarVector:
         return out
 
     def normalized(self):
-        """Divide through by the first entry so it becomes exactly 1."""
+        """The vector divided by its head, which becomes exactly 1 (also a
+        zero divisor, inverted modulo the factor the generator lies on).
+        The head is inverted once; an entry 1 times it is the inverse."""
         head = self.entries[0]
         if isinstance(head, RationalScalar) and head.value == 1:
             return self
-        return ScalarVector(tuple(e / head for e in self.entries))
+        inv = rational(1) / head
+        return ScalarVector((rational(1),) + tuple(e * inv for e in self.entries[1:]))
 
     def __iter__(self):
         return iter(self.entries)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from jperron.cf import (
     scalar_mat_vec,
     step_matrix,
 )
+from jperron.representation import GeneratorAction, build_representation
 from jperron.errors import (
     DepthExceeded,
     EmptyInput,
@@ -903,6 +905,72 @@ def test_interval_states_are_still_checked():
     assert digits == (1, 2)
     with pytest.raises(NonPositiveState, match="cannot certify the sign"):
         jpa_step(nxt)
+
+
+def test_an_interval_head_is_divided_out_to_exactly_one():
+    # the head of a normalized vector is rational(1) by construction: an
+    # interval head no longer leaves [9/11, 11/9] behind for the state
+    # check to refuse, and the run stops where the data does
+    with pytest.raises(IndeterminateFloor):
+        jpa_expand([interval(Fraction(9, 10), Fraction(11, 10)), 3, 5], 3)
+    x, y = Fraction(31415926, 10**7), Fraction(27182818, 10**7)
+    point = jpa_expand([1, x, y], 32)
+    assert point.tail.kind == "terminated" and point.depth == 14
+    eps = Fraction(1, 10**9)
+    narrow = [interval(1 - eps, 1 + eps), x, y]
+    certified = 0
+    for depth in range(1, point.depth + 1):
+        try:
+            exp = jpa_expand(narrow, depth)
+        except IndeterminateFloor:
+            break
+        assert exp.states[0][0] == rational(1)
+        assert exp.blocks == point.blocks[:depth]
+        certified = depth
+    assert certified >= 8
+
+
+_MIXED = [
+    rational(1),
+    interval(Fraction(14, 10), Fraction(15, 10)),
+    algebraic([-2, 0, 1], 1, 2),
+]
+
+
+@pytest.mark.parametrize("point", [False, True])
+@pytest.mark.parametrize("interval_first", [True, False])
+def test_mixed_interval_and_algebraic_input_is_malformed(interval_first, point):
+    # the check runs when the vector is built, before any arithmetic; a
+    # point interval is exact and used to reach the field arithmetic
+    ivl = interval(Fraction(3, 2), Fraction(3, 2)) if point else _MIXED[1]
+    pair = [ivl, _MIXED[2]] if interval_first else [_MIXED[2], ivl]
+    theta = [rational(1)] + pair
+    m = [[1, 0, 0], [0, 1, 0], [1, 1, 1]]
+    for run in (
+        lambda: jpa_expand(theta, 3),
+        lambda: expand_certified(theta, 3, 8),
+        lambda: detect_period(theta, 8),
+        lambda: jpa_step(theta),
+        lambda: build_representation(theta, [GeneratorAction("m", matrix=m)], 4),
+    ):
+        with pytest.raises(MalformedInput, match="mix interval and algebraic"):
+            run()
+
+
+@pytest.mark.parametrize("interval_first", [True, False])
+def test_mixed_vectors_exit_1_through_the_cli(capsys, interval_first):
+    ivl = {"ivl": {"lo": [14, 10], "hi": [15, 10]}}
+    alg = {"alg": {"poly": [-2, 0, 1], "lo": [1, 1], "hi": [2, 1]}}
+    theta = [1, ivl, alg] if interval_first else [1, alg, ivl]
+    for argv in (
+        ["expand", "--theta", json.dumps(theta), "--depth", "3"],
+        ["represent", "--theta", json.dumps({"theta": theta, "generators": []})],
+    ):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "parse" and "mix" in payload["message"]
 
 
 def test_scalar_mat_vec_matches_termwise_sum():

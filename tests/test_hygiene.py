@@ -6,8 +6,8 @@ takes over.  The package is also kept exact: no float literal, no
 inexact ``math`` function, and ``float(...)`` only where the recurrence
 search rounds an enclosure outward and as the infinite sentinel.  Field
 decisions read integer enclosure bounds, never the Fraction wrapper
-``evaluate_interval``, and every image run of ``build_representation``
-joins the base run."""
+``evaluate_interval``, only ``scalars`` works on raw field numerators,
+and every image run of ``build_representation`` joins the base run."""
 
 import ast
 from pathlib import Path
@@ -178,10 +178,20 @@ def test_decisions_read_integer_enclosure_bounds(module):
     assert _calls_to(MODULES[module], "evaluate_interval") == []
 
 
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"scalars"}))
+def test_only_scalars_works_on_raw_field_numerators(module):
+    # dividing by a field element goes through ``ScalarVector.normalized``
+    # or the scalar operators, never through the kernel's own helpers
+    for name in ("_elem_inverse", "_reduced", "_split"):
+        assert _calls_to(MODULES[module], name) == [], name
+
+
 def test_the_call_scan_sees_calls():
     tree = ast.parse("import p\np.evaluate_interval(1, 2, 3)\nevaluate_interval()\n")
     assert _calls_to(tree, "evaluate_interval") == [2, 3]
     assert _calls_to(MODULES["scalars"], "_interval_bounds") != []
+    for name in ("_elem_inverse", "_reduced", "_split"):
+        assert _calls_to(MODULES["scalars"], name) != []
 
 
 def test_image_runs_join_the_base_run():

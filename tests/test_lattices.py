@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from conftest import (
     reference_ppl_isomorphic,
     rng_for,
 )
+from jperron import intmat
 from jperron import polynomials as poly
 from jperron.errors import (
     FrameMismatch,
@@ -79,6 +81,35 @@ def test_act_composition_random():
         t1 = random_unimodular(rng, 3)
         t2 = random_unimodular(rng, 3)
         assert act(mat_mul(t1, t2), pl).vectors == act(t2, act(t1, pl)).vectors
+
+
+def test_act_builds_what_the_constructor_builds_without_a_hermite_form(monkeypatch):
+    # the represent_audit catalog's field-frame lattices and generators,
+    # and a symbolic frame, whose positivity stays undecided
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    audit = workloads.RepresentAudit()
+    cases = []
+    for spec in audit.generate(1):
+        if spec["kind"] != "readme":
+            p = audit.prepare(spec)
+            pl = PseudoLattice(p["frame"], p["vectors"])
+            cases.extend((m, pl) for _, m in spec["generators"])
+    rng = rng_for("act-without-hnf")
+    field_pl = cases[0][1]
+    cases.extend((random_unimodular(rng, field_pl.rank), field_pl) for _ in range(8))
+    pl = PseudoLattice(FRAME3, [(1, 0, 0), (Fraction(1, 2), 1, 0), (0, Fraction(2, 3), 1)])
+    cases.extend((random_unimodular(rng, 3), pl) for _ in range(8))
+    calls = []
+    hnf = intmat.hnf
+    monkeypatch.setattr(intmat, "hnf", lambda *a: calls.append(a) or hnf(*a))
+    results = [act(m, pl) for m, pl in cases]
+    assert calls == [] and len(cases) >= 100
+    assert {r.positive for r in results} == {True, False, None}
+    for (_, pl), got in zip(cases, results):
+        assert got == PseudoLattice(pl.frame, got.vectors)
+        assert all(type(x) is Fraction for v in got.vectors for x in v)
 
 
 # ---------------------------------------------------------------- project

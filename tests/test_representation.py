@@ -16,6 +16,7 @@ from conftest import (
 )
 from jperron import cf as cf_module
 from jperron import representation as representation_module
+from jperron import scalars as scalars_module
 from jperron.cf import (
     Expansion,
     Tail,
@@ -1215,12 +1216,47 @@ def test_reconstruction_of_an_equal_matrix_takes_no_field_arithmetic(monkeypatch
 def test_reconstruction_ignores_a_tail_vector_out_of_line():
     # a tail vector swapped for another state of the base no longer meets
     # the offsets: the old tail check failed, the one check asks only
-    # whether A maps theta to the image
+    # whether A maps theta to the image, and the alignment entry flags it
     rep = _quartic_representation(8)
     moved = dataclasses.replace(rep, theta_max=rep.base_run.states[3])
     assert reference_reconstruction_checks(moved) == {"a": (True, False), "b": (True, False)}
     report = verify(moved, budget=12)
     assert [e.ok for e in report.entries if e.kind == "reconstruction"] == [True, True]
+    assert report.has_flag("alignment") and report.faithfulness == "not_guaranteed"
+
+
+def _alignment_flags(report):
+    return [e.message for e in report.failures("alignment")]
+
+
+def test_verify_flags_a_tail_vector_out_of_line(monkeypatch):
+    rep = _quartic_representation(8)
+    run, t = rep.base_run, rep.theta_offset
+    out_of_line = [
+        dataclasses.replace(rep, theta_max=run.states[t + 2]),
+        dataclasses.replace(rep, theta_max=ScalarVector([3 * x for x in rep.theta_max])),
+        dataclasses.replace(rep, base_run=None),
+    ]
+    for edited in out_of_line:
+        report = verify(edited, budget=4)
+        assert _alignment_flags(report) == [
+            "tail vector is not the base state at theta_offset %d" % edited.theta_offset
+        ]
+        assert report.faithfulness == "not_guaranteed"
+    # an equal copy is in line; the built tail vector is the run's state
+    # itself, which an identity check passes with no comparison
+    same_value = dataclasses.replace(rep, theta_max=ScalarVector(list(rep.theta_max)))
+    assert _alignment_flags(verify(same_value, budget=4)) == []
+
+    def refuse(*args):
+        raise AssertionError("a comparison for the built tail vector")
+
+    assert rep.theta_max is run.states[t]
+    monkeypatch.setattr(ScalarVector, "__eq__", refuse)
+    report = verify(rep, budget=4)
+    monkeypatch.undo()
+    assert all(e.kind != "alignment" for e in report.entries)
+    assert report.faithfulness != "not_guaranteed"
 
 
 def _edited_representations(rep):
@@ -1249,7 +1285,9 @@ def test_joined_tail_search_matches_a_fresh_one_and_the_hand_cut_run():
 def test_audit_call_counts_on_the_benchmark_catalog(monkeypatch):
     # one pass of the represent_audit catalog: 40 representations with 96
     # generators, and one job without a common tail.  The old audit made
-    # 288 / 232 calls in the build and 384 / 96 in verify
+    # 288 / 232 calls in the build and 384 / 96 in verify.  The pass,
+    # generation included, inverts 680 field elements: 850 when a vector
+    # was normalized by one field division per entry
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     import workloads
 
@@ -1262,6 +1300,11 @@ def test_audit_call_counts_on_the_benchmark_catalog(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(representation_module, name, counted)
+    inverses = []
+    inverse = scalars_module._elem_inverse
+    monkeypatch.setattr(
+        scalars_module, "_elem_inverse", lambda *a: inverses.append(a) or inverse(*a)
+    )
     audit = workloads.RepresentAudit()
     build, check = dict.fromkeys(counts, 0), dict.fromkeys(counts, 0)
     reps = generators = 0
@@ -1282,6 +1325,7 @@ def test_audit_call_counts_on_the_benchmark_catalog(monkeypatch):
     assert (reps, generators) == (40, 96)
     assert build == {"scalar_mat_vec": 96, "prefix_product": 136}
     assert check == {"scalar_mat_vec": 96, "prefix_product": 0}
+    assert len(inverses) == 680
 
 
 # ---------------------------------------------------------------- bounded alignment cost

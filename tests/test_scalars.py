@@ -5,6 +5,7 @@ import pytest
 
 from conftest import fraction_gcd, fraction_inverse, rng_for
 from jperron import polynomials as poly
+from jperron import scalars as scalars_module
 from jperron.errors import IndeterminateFloor, MalformedInput
 from jperron.scalars import (
     AlgebraicScalar,
@@ -537,3 +538,52 @@ def test_same_root_with_a_pinned_rational_root():
     other = NumberField([6, -2, -3, 1], Fraction(11, 4), Fraction(13, 4))
     other.refine_once()
     assert pinned.same_root(other) and other.same_root(pinned)
+
+
+# ---------------------------------------------------------------- normalized
+
+
+def _count_inverses(monkeypatch):
+    calls = []
+    inverse = scalars_module._elem_inverse
+    monkeypatch.setattr(
+        scalars_module, "_elem_inverse", lambda *a: calls.append(a) or inverse(*a)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("rank", [2, 3, 5])
+def test_normalizing_inverts_an_algebraic_head_once(monkeypatch, rank):
+    g = algebraic([-2, 0, 0, 1], 1, 2)
+    entries = [g * g + 1] + [g + k for k in range(rank - 2)] + [rational(1)]
+    vec = ScalarVector(entries)
+    calls = _count_inverses(monkeypatch)
+    got = vec.normalized()
+    assert len(calls) == 1
+    assert type(got[0]) is RationalScalar and got[0].value == 1
+    for x, e in zip(got, entries):
+        assert compare(x * entries[0], e) is Ordering.EQ
+
+
+def test_normalizing_sets_a_zero_divisor_head_to_exactly_one():
+    # x - 2 is a zero divisor modulo (x - 2)(x^2 - 3) that does not vanish
+    # at sqrt 3: its inverse is taken modulo x^2 - 3, so head times inverse
+    # is not the polynomial 1, but the head becomes 1 all the same
+    field = NumberField([6, -3, -2, 1], Fraction(17, 10), Fraction(18, 10))
+    head = AlgebraicScalar(field, (-2, 1))
+    other = AlgebraicScalar(field, (1, 1, 1))
+    got = ScalarVector([head, other]).normalized()
+    assert type(got[0]) is RationalScalar and got[0].value == 1
+    assert compare(got[1] * head, other) is Ordering.EQ
+
+
+def test_normalizing_rational_and_interval_heads_matches_division():
+    for entries in (
+        [rational(3, 2), rational(5, 7), rational(1), rational(-4)],
+        [interval(Fraction(9, 10), Fraction(11, 10)), interval(2, 3), rational(1)],
+    ):
+        got = ScalarVector(entries).normalized()
+        assert type(got[0]) is RationalScalar and got[0].value == 1
+        for x, e in zip(got.entries[1:], entries[1:]):
+            want = e / entries[0]
+            assert x.enclosure() == want.enclosure()
