@@ -260,12 +260,6 @@ def _rational_expand(state, max_depth):
     back.  A zero first remainder terminates.  Digits, states and residual
     equal those of the ``jpa_step`` loop.
     """
-    # as in the scalar loop, a negative entry is an error only once a
-    # step is taken (detect_period passes unchecked input)
-    if max_depth > 0:
-        for x in state.entries:
-            if x.value < 0:
-                raise NonPositiveState("state entry %r is negative" % (x,))
     values = [x.value for x in state.entries]
     scale = math.lcm(*(x.denominator for x in values))
     vec = [x.numerator * (scale // x.denominator) for x in values]
@@ -324,8 +318,7 @@ def _expand(state, depth, search=0, join=None):
     indeterminate floor is raised within the first ``depth`` steps; after
     them it stops the loop, leaving a truncated tail.
 
-    Only the caller's ``state`` is checked; later states are valid by
-    construction.
+    The caller checks ``state``; later states are valid by construction.
 
     ``join`` is a run of exact states, used only if ``_expand`` stepped
     it (a run rebuilt with ``dataclasses.replace`` is not).  Until the
@@ -367,7 +360,7 @@ def _expand(state, depth, search=0, join=None):
         else:
             box = None
             try:
-                digits, parts, nxt = _step(state if k else _check_state(state))
+                digits, parts, nxt = _step(state)
             except IndeterminateFloor:
                 if k < depth:
                     raise
@@ -646,12 +639,12 @@ def _find_state(states, boxes, candidate, box):
     box is ``box``, or None.  ``boxes[j]`` is the box of ``states[j]``, or
     None when it was not read yet.
 
-    The candidate itself is equal at once.  A state whose box misses the candidate's in some coordinate cannot
-    equal it.  A box that meets the candidate's is read again, at the
-    field's current enclosure (a box stored early is wide), and the exact
-    ``compare`` runs only if they still meet.  The reduced coordinates are
-    never compared as data: over a reducible modulus equal values can be
-    stored differently.
+    The candidate itself is equal at once.  A state whose box misses the
+    candidate's in some coordinate cannot equal it.  A box that meets it
+    is read again, at the field's current enclosure (a box stored early
+    is wide), and exact vector equality runs only if they still meet.
+    The reduced coordinates are never compared as data: over a reducible
+    modulus equal values can be stored differently.
     """
     for j, st in enumerate(states):
         if st is candidate:
@@ -661,9 +654,7 @@ def _find_state(states, boxes, candidate, box):
         boxes[j] = _box(st)
         if _disjoint(boxes[j], box):
             continue
-        if all(
-            compare(a, b) is Ordering.EQ for a, b in zip(st.entries, candidate.entries)
-        ):
+        if st == candidate:
             return j
     return None
 
@@ -682,9 +673,18 @@ def detect_period(subject, budget=32):
     ``theta`` is extended instead of expanded again.
     """
     _check_budget(budget)
-    if isinstance(subject, Expansion):
-        return _detect_period_expansion(subject, budget)
-    return _period_verdict(subject, budget)
+    if not isinstance(subject, Expansion):
+        return _period_verdict(subject, budget)
+    if subject.tail.kind != TRUNCATED:
+        tagged = "expansion carries a %s tag"
+        return _tail_verdict(subject, True, tagged % TERMINATED, tagged % PERIODIC)
+    if subject.theta is not None and all(e.is_exact() for e in subject.theta):
+        return _period_verdict(subject.theta, budget, join=subject)
+    return PeriodVerdict(
+        kind="aperiodic_up_to",
+        depth=subject.depth,
+        note="truncated digit data cannot certify periodicity",
+    )
 
 
 def _tail_verdict(exp, certified, terminated_note, periodic_note):
@@ -712,12 +712,16 @@ def _tail_verdict(exp, certified, terminated_note, periodic_note):
 
 def _period_verdict(subject, depth_budget, join=None):
     """The verdict of a ``depth_budget``-step search from the vector
-    ``subject``, joining the run ``join`` (see ``_expand``) when given."""
+    ``subject``, joining the run ``join`` (see ``_expand``) when given.
+    It checks ``subject`` once: its head divides out, and if a step is
+    taken, no entry is negative."""
     _check_budget(depth_budget)
     vec = ScalarVector.coerce(subject)
     if not vec[0].sign():  # zero, or an interval containing zero
         raise NonPositiveState("cannot divide by the leading entry %r" % (vec[0],))
     state = vec.normalized()
+    if depth_budget:
+        _check_state(state)
     exp = _expand(state, 0, depth_budget, join=join)
     if exp.tail.kind == TRUNCATED:
         # the search stops short of its budget only where a floor of
@@ -734,23 +738,6 @@ def _period_verdict(subject, depth_budget, join=None):
         all(e.is_exact() for e in state.entries),
         "expansion terminated (rationally dependent input)",
         "state recurrence certified exactly",
-    )
-
-
-def _detect_period_expansion(exp, budget):
-    if exp.tail.kind != TRUNCATED:
-        return _tail_verdict(
-            exp,
-            True,
-            "expansion carries a terminated tag",
-            "expansion carries a periodic tag",
-        )
-    if exp.theta is not None and all(e.is_exact() for e in exp.theta):
-        return _period_verdict(exp.theta, budget, join=exp)
-    return PeriodVerdict(
-        kind="aperiodic_up_to",
-        depth=exp.depth,
-        note="truncated digit data cannot certify periodicity",
     )
 
 

@@ -42,6 +42,7 @@ from .errors import (
 from .scalars import (
     ScalarVector,
     _digit_limit,
+    _text,
     int_from_json,
     vector_from_json,
     vector_to_json,
@@ -452,6 +453,14 @@ def build_representation(theta, actions, depth_budget=24):
         theta_max = exp_theta.states[theta_offset]
 
     entries = _reconstruction_entries(matrices, supplied, images, base)
+    refuted = [e.generator for e in entries if not e.ok]
+    if refuted and alignment.certification == DEPTH_BOUNDED:
+        # the exact check refutes a bounded alignment (an exact one stands
+        # on its tags, and the report says what the check found)
+        raise NoCommonTail(
+            "generator %r: the depth-bounded alignment is false (A*theta is "
+            "not the image)" % refuted[0]
+        )
     if theta_max is None:
         entries.append(_no_tail_entry())
     report = VerificationReport(entries=tuple(entries))
@@ -488,12 +497,14 @@ def evaluate_word(rep, word):
 def verify(rep, relations=(), budget=32):
     """Audit a representation and return the full report.
 
-    Checks, in order: exact image reconstruction for every generator,
-    every supplied relation word evaluating to the identity, periodicity
-    of the tail vector, fixed points of non-identity matrices on the tail
-    vector, and the free-action bookkeeping for generators whose image
-    equals the tail vector.  Nothing is assumed: every failed check lands
-    in the report.  Without a tail vector the report says so (the
+    Checks, in order: exact image reconstruction for every generator, a
+    supplied M unequal to a reconstructing A (a ``stabilizer`` entry
+    carries U = M^-1*A, which fixes theta projectively), every supplied
+    relation word evaluating to the identity, periodicity of the tail
+    vector, fixed points of non-identity matrices on the tail vector, and
+    the free-action bookkeeping for generators whose image equals the
+    tail vector.  Nothing is assumed: every failed check lands in the
+    report.  Without a tail vector the report says so (the
     build's ``alignment`` entry) in place of the tail checks; a tail
     vector that is not exactly the base run's state at ``theta_offset``
     gets a failing ``alignment`` entry.
@@ -515,6 +526,14 @@ def verify(rep, relations=(), budget=32):
     def add(kind, ok, generator, message):
         entries.append(ReportEntry(kind, ok, generator, message))
 
+    for e in list(entries):
+        m, a = rep.supplied.get(e.generator), rep.matrices[e.generator]
+        if e.ok and m is not None and not intmat.mat_eq(m, a):
+            # A*theta and M*theta are one image, so U = M^-1*A fixes theta
+            u = intmat.mat_mul(intmat.inverse_unimodular(m), a)
+            u = ", ".join("[%s]" % ", ".join(map(_text, row)) for row in u)
+            add("stabilizer", False, e.generator, "U = M^-1*A = [%s] fixes theta "
+                "projectively: the free-action hypothesis fails" % u)
     for idx, word in enumerate(relations):
         ok = intmat.mat_eq(evaluate_word(rep, word), ident)
         outcome = "holds" if ok else "does NOT evaluate to I"

@@ -56,7 +56,7 @@ class NumberField:
     checked, by Sturm count, to isolate exactly one real root.
     """
 
-    __slots__ = ("modulus", "_enclosure", "_positive_at_hi", "_chain", "_exact_root")
+    __slots__ = ("modulus", "_enclosure", "_positive_at_hi", "_exact_root")
 
     def __init__(self, modulus, lo, hi):
         mod = poly.to_int_poly(poly.square_free_part(poly.trim(modulus)))
@@ -68,8 +68,7 @@ class NumberField:
             raise MalformedInput("isolating interval is empty")
         if poly.evaluate(mod, lo) == 0 or poly.evaluate(mod, hi) == 0:
             raise MalformedInput("isolating interval endpoints must not be roots")
-        chain = poly.sturm_chain(mod)
-        if poly.count_roots(chain, lo, hi) != 1:
+        if poly.count_roots(poly.sturm_chain(mod), lo, hi) != 1:
             raise MalformedInput("interval does not isolate exactly one root")
         self.modulus = mod
         # (lo, hi) is replaced as a whole, so every read sees a valid
@@ -77,7 +76,6 @@ class NumberField:
         # the isolated root, since no other root lies in between
         self._enclosure = (lo, hi)
         self._positive_at_hi = poly.evaluate(mod, hi) > 0
-        self._chain = chain
         self._exact_root = None
 
     @property
@@ -118,11 +116,14 @@ class NumberField:
             # only a pinned rational root makes an enclosure a single point
             # (the endpoints of the others are never roots)
             return poly.evaluate(self.modulus, lo) == 0
-        return poly.count_roots(self._chain, lo, hi) == 1
+        # each enclosure isolates one root and ends at none, so the common
+        # part holds their root iff the modulus changes sign across it
+        m = self.modulus
+        return (poly.evaluate(m, lo) > 0) != (poly.evaluate(m, hi) > 0)
 
     def __repr__(self):
         lo, hi = self.enclosure()
-        return "NumberField(%r, %s, %s)" % (list(self.modulus), lo, hi)
+        return "NumberField(%r, %s, %s)" % (list(self.modulus), _text(lo), _text(hi))
 
 
 def _split(coeffs):
@@ -174,11 +175,12 @@ def _elem_is_zero(coeffs, field):
     g = poly.gcd(c, field.modulus)
     if poly.degree(g) < 1:
         return False
-    # c vanishes at the generator iff a root of gcd(c, modulus) sits in
-    # the isolating interval (square-free modulus keeps this decidable
-    # even when the modulus is reducible).
+    # c vanishes at the generator iff gcd(c, modulus) does (square-free
+    # modulus keeps this decidable even when the modulus is reducible).
+    # The gcd divides the modulus, whose one root in the enclosure is the
+    # generator, so it vanishes there iff it changes sign across it.
     lo, hi = field.enclosure()
-    return poly.count_roots(poly.sturm_chain(g), lo, hi) == 1
+    return (poly.evaluate(g, lo) > 0) != (poly.evaluate(g, hi) > 0)
 
 
 def _elem_sign(coeffs, field):
@@ -326,7 +328,7 @@ class RationalScalar(Scalar):
         return hash(self.value)
 
     def __repr__(self):
-        return "RationalScalar(%s)" % self.value
+        return "RationalScalar(%s)" % _text(self.value)
 
 
 class AlgebraicScalar(Scalar):
@@ -484,7 +486,7 @@ class AlgebraicScalar(Scalar):
         raise AssertionError("no dependency among field element powers")
 
     def __repr__(self):
-        return "AlgebraicScalar(%r, %r)" % (self.field, [str(c) for c in self.coeffs])
+        return "AlgebraicScalar(%r, %r)" % (self.field, [_text(c) for c in self.coeffs])
 
 
 class IntervalScalar(Scalar):
@@ -567,7 +569,7 @@ class IntervalScalar(Scalar):
         return hash((self.lo, self.hi))
 
     def __repr__(self):
-        return "IntervalScalar(%s, %s)" % (self.lo, self.hi)
+        return "IntervalScalar(%s, %s)" % (_text(self.lo), _text(self.hi))
 
 
 def rational(num, den=1):
@@ -625,57 +627,27 @@ def floor_exact(x):
 
 
 def compare(x, y):
-    """Exact ordering of two scalars; INDETERMINATE only for fuzzy intervals."""
-    if isinstance(x, (int, Fraction)):
-        x = RationalScalar(x)
-    if isinstance(y, (int, Fraction)):
-        y = RationalScalar(y)
-    if isinstance(x, IntervalScalar) or isinstance(y, IntervalScalar):
-        # refine any algebraic side before conceding: INDETERMINATE should
-        # only mean the fuzzy interval itself straddles the other value
-        for _ in range(_SIGN_BUDGET):
-            xlo, xhi = x.enclosure()
-            ylo, yhi = y.enclosure()
-            if xhi < ylo:
-                return Ordering.LT
-            if yhi < xlo:
-                return Ordering.GT
-            if xlo == xhi == ylo == yhi:
-                return Ordering.EQ
-            # a value strictly inside a fuzzy interval stays there however
-            # far it is refined
-            if isinstance(x, IntervalScalar) and xlo < ylo and yhi < xhi:
-                break
-            if isinstance(y, IntervalScalar) and ylo < xlo and xhi < yhi:
-                break
-            progressed = False
-            for side in (x, y):
-                if (
-                    isinstance(side, AlgebraicScalar)
-                    and side.field._exact_root is None
-                ):
-                    side.field.refine_once()
-                    progressed = True
-            if not progressed:
-                break
-        return Ordering.INDETERMINATE
-    if isinstance(x, AlgebraicScalar) and isinstance(y, AlgebraicScalar):
-        if not (x.field is y.field or x.field.same_root(y.field)):
-            return _compare_cross_field(x, y)
-    s = (x - y).sign()
-    return Ordering(min(max(s, -1), 1))
+    """Exact ordering of two scalars; INDETERMINATE only for fuzzy intervals.
 
-
-def _compare_cross_field(x, y):
-    # Equality across two independently declared fields holds iff a common
-    # root of the two annihilators sits where both enclosures shrink to.
-    px = x.annihilator()
-    py = y.annihilator()
-    common = poly.to_int_poly(poly.gcd(px, py))
-    chains = None
-    if poly.degree(common) >= 1:
-        chains = [poly.sturm_chain(p) for p in (px, py, common)]
-        polys = (px, py, common)
+    Values of one field, or of two fields pinning one root, compare by the
+    sign of their difference.  Otherwise the enclosures race: every
+    algebraic side is refined until they separate or meet in one point,
+    or a fuzzy interval strictly holds the other value.  Across fields, a
+    common root of the two annihilators that is, by Sturm count, the only
+    root of each in the joint enclosure (whose ends are no root) is EQ.
+    """
+    x, y = (RationalScalar(v) if isinstance(v, (int, Fraction)) else v for v in (x, y))
+    fuzzy = isinstance(x, IntervalScalar) or isinstance(y, IntervalScalar)
+    cross = isinstance(x, AlgebraicScalar) and isinstance(y, AlgebraicScalar)
+    cross = cross and not (x.field is y.field or x.field.same_root(y.field))
+    if not (fuzzy or cross):
+        return Ordering((x - y).sign())
+    chains = ()
+    if cross:
+        px, py = x.annihilator(), y.annihilator()
+        common = poly.to_int_poly(poly.gcd(px, py))
+        if poly.degree(common) >= 1:
+            chains = [(p, poly.sturm_chain(p)) for p in (px, py, common)]
     for _ in range(_SIGN_BUDGET):
         xlo, xhi = x.enclosure()
         ylo, yhi = y.enclosure()
@@ -683,19 +655,28 @@ def _compare_cross_field(x, y):
             return Ordering.LT
         if yhi < xlo:
             return Ordering.GT
-        if chains is not None:
-            lo, hi = min(xlo, ylo), max(xhi, yhi)
-            if all(
-                poly.evaluate(p, lo) != 0 and poly.evaluate(p, hi) != 0
-                for p in polys
-            ):
-                counts = [poly.count_roots(ch, lo, hi) for ch in chains]
-                if counts[0] == 1 and counts[1] == 1 and counts[2] == 1:
-                    return Ordering.EQ
-                # counts settled without a shared root: the values differ,
-                # so keep refining until the enclosures separate
-        x.field.refine_once()
-        y.field.refine_once()
+        if xlo == xhi == ylo == yhi:
+            return Ordering.EQ
+        # a value strictly inside a fuzzy interval stays there however
+        # far it is refined
+        if (isinstance(x, IntervalScalar) and xlo < ylo and yhi < xhi) or (
+            isinstance(y, IntervalScalar) and ylo < xlo and xhi < yhi
+        ):
+            break
+        lo, hi = min(xlo, ylo), max(xhi, yhi)
+        if chains and all(
+            poly.evaluate(p, lo) and poly.evaluate(p, hi)
+            and poly.count_roots(c, lo, hi) == 1
+            for p, c in chains
+        ):
+            return Ordering.EQ
+        fields = [v.field for v in (x, y) if isinstance(v, AlgebraicScalar)]
+        if all(f._exact_root is not None for f in fields):
+            break
+        for f in fields:
+            f.refine_once()
+    if fuzzy:
+        return Ordering.INDETERMINATE
     raise BudgetExceeded("cross-field comparison did not settle")
 
 
@@ -819,6 +800,16 @@ class ScalarVector:
 
     def __repr__(self):
         return "ScalarVector(%r)" % (list(self.entries),)
+
+
+def _text(f):
+    """str(f) of a Fraction or an int, or its sign and bit lengths past
+    Python's int/str digit limit, so every repr and message prints."""
+    try:
+        return str(f)
+    except ValueError:
+        n, d = f.numerator, f.denominator
+        return "-" * (n < 0) + "<%d bits>/<%d bits>" % (n.bit_length(), d.bit_length())
 
 
 def _fraction_to_json(f):

@@ -25,7 +25,13 @@ from jperron.cf import (
 )
 from jperron.cf import _stepped, prefix_product, projectively_equal, scalar_mat_vec
 from jperron.cli import _theta_from_obj
-from jperron.errors import JperronError, MalformedInput, NoCommonTail, RankMismatch
+from jperron.errors import (
+    BudgetExceeded,
+    JperronError,
+    MalformedInput,
+    NoCommonTail,
+    RankMismatch,
+)
 from jperron.intmat import (
     check_unimodular,
     hnf,
@@ -52,7 +58,10 @@ from jperron.representation import (
     verify,
 )
 from jperron.scalars import (
+    AlgebraicScalar,
+    IntervalScalar,
     Ordering,
+    RationalScalar,
     ScalarVector,
     _elem_is_zero,
     algebraic,
@@ -199,6 +208,109 @@ def fraction_rank(rows):
                 work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
         rank += 1
     return rank
+
+
+# ------------------------------------------------------ certified decisions
+# ``scalars.compare`` runs one enclosure race for interval operands and for
+# two fields with different roots, and a zero test or ``same_root`` reads
+# the signs of a factor of the modulus at the ends of the root enclosure.
+# The functions below are the bodies they replaced: one refinement loop
+# each for intervals and across fields, and Sturm counts on the enclosure.
+
+
+def reference_compare(x, y):
+    """``compare`` with its two refinement loops."""
+    if isinstance(x, (int, Fraction)):
+        x = RationalScalar(x)
+    if isinstance(y, (int, Fraction)):
+        y = RationalScalar(y)
+    if isinstance(x, IntervalScalar) or isinstance(y, IntervalScalar):
+        for _ in range(4096):
+            xlo, xhi = x.enclosure()
+            ylo, yhi = y.enclosure()
+            if xhi < ylo:
+                return Ordering.LT
+            if yhi < xlo:
+                return Ordering.GT
+            if xlo == xhi == ylo == yhi:
+                return Ordering.EQ
+            if isinstance(x, IntervalScalar) and xlo < ylo and yhi < xhi:
+                break
+            if isinstance(y, IntervalScalar) and ylo < xlo and xhi < yhi:
+                break
+            progressed = False
+            for side in (x, y):
+                if isinstance(side, AlgebraicScalar) and side.field._exact_root is None:
+                    side.field.refine_once()
+                    progressed = True
+            if not progressed:
+                break
+        return Ordering.INDETERMINATE
+    if isinstance(x, AlgebraicScalar) and isinstance(y, AlgebraicScalar):
+        if not (x.field is y.field or sturm_same_root(x.field, y.field)):
+            return _reference_compare_cross_field(x, y)
+    s = (x - y).sign()
+    return Ordering(min(max(s, -1), 1))
+
+
+def _reference_compare_cross_field(x, y):
+    px = x.annihilator()
+    py = y.annihilator()
+    common = poly.to_int_poly(poly.gcd(px, py))
+    chains = None
+    if poly.degree(common) >= 1:
+        chains = [poly.sturm_chain(p) for p in (px, py, common)]
+        polys = (px, py, common)
+    for _ in range(4096):
+        xlo, xhi = x.enclosure()
+        ylo, yhi = y.enclosure()
+        if xhi < ylo:
+            return Ordering.LT
+        if yhi < xlo:
+            return Ordering.GT
+        if chains is not None:
+            lo, hi = min(xlo, ylo), max(xhi, yhi)
+            if all(
+                poly.evaluate(p, lo) != 0 and poly.evaluate(p, hi) != 0
+                for p in polys
+            ):
+                counts = [poly.count_roots(ch, lo, hi) for ch in chains]
+                if counts[0] == 1 and counts[1] == 1 and counts[2] == 1:
+                    return Ordering.EQ
+        x.field.refine_once()
+        y.field.refine_once()
+    raise BudgetExceeded("cross-field comparison did not settle")
+
+
+def sturm_same_root(field, other):
+    """``NumberField.same_root`` by a Sturm count of the modulus on the
+    common part of the two enclosures."""
+    if other is field:
+        return True
+    if other.modulus != field.modulus:
+        return False
+    (lo, hi), (olo, ohi) = field.enclosure(), other.enclosure()
+    lo, hi = max(lo, olo), min(hi, ohi)
+    if lo > hi:
+        return False
+    if lo == hi:
+        return poly.evaluate(field.modulus, lo) == 0
+    return poly.count_roots(poly.sturm_chain(field.modulus), lo, hi) == 1
+
+
+def sturm_is_zero(c, field):
+    """``_elem_is_zero`` by a Sturm count of gcd(c, modulus) on the root
+    enclosure, with no enclosure shortcut."""
+    c = poly.trim(c)
+    if not c:
+        return True
+    lo, hi = field.enclosure()
+    if lo == hi:
+        return poly.evaluate(c, lo) == 0
+    g = poly.gcd(c, field.modulus)
+    if poly.degree(g) < 1:
+        return False
+    return poly.count_roots(poly.sturm_chain(g), lo, hi) == 1
 
 
 # ------------------------------------------------------- recurrence search
@@ -562,13 +674,30 @@ def reference_out_of_line(rep):
     )
 
 
+STABILIZER = "U = M^-1*A = %s fixes theta projectively: the free-action hypothesis fails"
+
+
+def reference_stabilizers(rep):
+    """{generator: U = M^-1*A} for each supplied M unequal to its A where
+    A*theta is the image: U then fixes theta projectively."""
+    out = {}
+    for name, (ok_base, _) in reference_reconstruction_checks(rep).items():
+        m, a = rep.supplied.get(name), rep.matrices[name]
+        if ok_base and m is not None and not mat_eq(m, a):
+            u = mat_mul(inverse_unimodular(m), a)
+            assert projectively_equal(scalar_mat_vec(u, rep.theta.entries), rep.theta.entries)
+            out[name] = u
+    return out
+
+
 def assert_agrees_with_flag_verify(report, want, rep):
     """``verify`` against ``flag_verify``.  The one reconstruction check is
     the old A*theta check.  The old tail check, P_g(k)*theta_max, is the
     same vector up to a scalar while theta_max is in line with
     ``theta_offset``, and only a failure's text changed.  A tail vector
     out of line with the base run gets one failing ``alignment`` entry,
-    which ``flag_verify`` did not make."""
+    and a supplied M unequal to a reconstructing A one failing
+    ``stabilizer`` entry; ``flag_verify`` made neither."""
     checks = reference_reconstruction_checks(rep)
     in_line = rep.theta_max is None or _tail_vector_in_line(rep)
     entries = list(report.entries)
@@ -576,6 +705,11 @@ def assert_agrees_with_flag_verify(report, want, rep):
     assert len(out_of_line) == reference_out_of_line(rep)
     for e in out_of_line:
         assert e.message.startswith("tail vector is not the base state at theta_offset")
+        entries.remove(e)
+    stabilizers = [e for e in entries if e.kind == "stabilizer"]
+    assert [e.generator for e in stabilizers] == list(reference_stabilizers(rep))
+    for e, u in zip(stabilizers, reference_stabilizers(rep).values()):
+        assert not e.ok and e.message == STABILIZER % [list(r) for r in u]
         entries.remove(e)
     assert len(entries) == len(want.entries)
     for got, old in zip(entries, want.entries):
@@ -591,7 +725,7 @@ def assert_agrees_with_flag_verify(report, want, rep):
         else:
             assert got == old
     assert report.stationary == want.stationary
-    if report.has_flag("reconstruction") or out_of_line:
+    if report.has_flag("reconstruction") or out_of_line or stabilizers:
         assert report.faithfulness == "not_guaranteed"
     else:
         assert report.faithfulness == want.faithfulness

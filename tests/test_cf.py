@@ -675,6 +675,79 @@ def test_detect_period_stops_where_interval_data_runs_out():
     assert verdict.note == "floor became indeterminate; interval data exhausted"
 
 
+def _detect_period_subjects():
+    t = tribonacci_vector()
+    g = algebraic([-3, 0, 0, 1], 1, 2)
+    cube = ScalarVector([rational(1), g, g * g])
+    ivl = ScalarVector([1, interval(Fraction(141, 100), Fraction(142, 100))])
+    rat = ScalarVector([1, Fraction(7, 5), Fraction(11, 5)])
+    periodic = Tail.periodic(1, [(2, 1)])
+    rotated = Tail.periodic(1, [(2,), (1,)])
+    return {
+        "periodic tag": (Expansion(3, ((1, 2), (2, 1), (2, 1)), periodic), 4),
+        "periodic tag, not canonical": (
+            Expansion(2, ((1,), (2,), (1,), (2,)), rotated), 0
+        ),
+        "terminated tag": (Expansion(2, ((1,), (3,)), Tail.terminated()), 4),
+        "truncated, no theta": (Expansion(2, ((1,), (2,)), Tail.truncated()), 8),
+        "truncated, interval theta": (jpa_expand(ivl, 2), 8),
+        "truncated, rational theta": (jpa_expand(rat, 1), 16),
+        "truncated tribonacci": (jpa_expand(t, 3), 8),
+        "truncated cube root of 3": (jpa_expand(cube, 1), 4),
+        "truncated cube root of 3, budget 2": (jpa_expand(cube, 1), 2),
+        "truncated quartic": (jpa_expand(_quartic(), 5), 6),
+        "rational vector": (rat, 16),
+        "tribonacci vector": (t, 8),
+        "quartic vector": (_quartic(), 6),
+        "interval vector": (ivl, 16),
+    }
+
+
+# (kind, depth, preperiod, period, certified, note) of each subject, as
+# the search gave them with its own branch for tagged and truncated
+# expansions
+_TAGGED = "expansion carries a %s tag"
+_RECURS = "state recurrence certified exactly"
+_NO_RECURRENCE = "no exact recurrence within the searched depth"
+_DEPENDENT = "expansion terminated (rationally dependent input)"
+_PINNED_SUBJECT_VERDICTS = {
+    "periodic tag": ("periodic", 3, 1, ((2, 1),), True, _TAGGED % "periodic"),
+    "periodic tag, not canonical": (
+        "periodic", 4, 0, ((1,), (2,)), True, _TAGGED % "periodic"
+    ),
+    "terminated tag": ("terminated", 2, None, None, True, _TAGGED % "terminated"),
+    "truncated, no theta": (
+        "aperiodic_up_to", 2, None, None, False,
+        "truncated digit data cannot certify periodicity",
+    ),
+    "truncated, interval theta": (
+        "aperiodic_up_to", 2, None, None, False,
+        "truncated digit data cannot certify periodicity",
+    ),
+    "truncated, rational theta": ("terminated", 3, None, None, True, _DEPENDENT),
+    "truncated tribonacci": ("periodic", 1, 0, ((1, 1),), True, _RECURS),
+    "truncated cube root of 3": ("periodic", 4, 2, ((1, 5), (1, 2)), True, _RECURS),
+    "truncated cube root of 3, budget 2": (
+        "aperiodic_up_to", 2, None, None, False, _NO_RECURRENCE
+    ),
+    "truncated quartic": ("aperiodic_up_to", 6, None, None, False, _NO_RECURRENCE),
+    "rational vector": ("terminated", 3, None, None, True, _DEPENDENT),
+    "tribonacci vector": ("periodic", 1, 0, ((1, 1),), True, _RECURS),
+    "quartic vector": ("aperiodic_up_to", 6, None, None, False, _NO_RECURRENCE),
+    "interval vector": (
+        "aperiodic_up_to", 3, None, None, False,
+        "floor became indeterminate; interval data exhausted",
+    ),
+}
+
+
+def test_detect_period_keeps_its_verdicts_and_notes():
+    for name, (subject, budget) in _detect_period_subjects().items():
+        v = detect_period(subject, budget)
+        got = (v.kind, v.depth, v.preperiod, v.period, v.certified, v.note)
+        assert got == _PINNED_SUBJECT_VERDICTS[name], name
+
+
 def test_detect_period_rejects_a_zero_leading_entry():
     # dividing by the head used to raise ZeroDivisionError
     for theta in ([0, 1], [rational(0), golden()], [interval(-1, 1), 1]):
@@ -872,10 +945,11 @@ def test_algebraic_expansion_inverts_once_per_step(monkeypatch):
 
 
 def test_exact_loop_states_are_not_checked_again(monkeypatch):
-    # a state the loop built from exact entries is valid by construction:
-    # the quartic's 48 steps test 3 signs for the input's positivity, 3
-    # for the check of the input state and one termination sign per step
-    # (every state checked again made 195)
+    # the input state is checked once, where it enters, and a state the
+    # loop built from exact entries is valid by construction: the
+    # quartic's 48 steps test 3 signs for the input's positivity and one
+    # termination sign per step (the loop checking its input state again
+    # made 54, and checking every state 195)
     g = algebraic([-2, 0, 0, 0, 1], 1, 2)
     theta = [1, g, g * g, g * g * g]
     calls = [0]
@@ -888,7 +962,7 @@ def test_exact_loop_states_are_not_checked_again(monkeypatch):
     monkeypatch.setattr(scalars_module, "_elem_sign", counting)
     e = jpa_expand(theta, 48)
     assert e.depth == 48 and e.tail.kind == "truncated"
-    assert calls[0] == 54
+    assert calls[0] == 51
 
 
 def test_interval_states_are_still_checked():

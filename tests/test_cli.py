@@ -231,6 +231,27 @@ def test_represent_incompatible_tails_exit_3(tmp_path):
     assert json.loads(proc.stderr)["error"] == "no_common_tail"
 
 
+_CUBE_ROOT = {"poly": [-2, 0, 0, 1], "lo": [1, 1], "hi": [2, 1]}
+# theta = (1, 2^(1/3), 4^(1/3)) and M = [[1,-2,1],[0,1,0],[0,-1,1]]: the
+# streams agree within depth 24, but A*theta is not M*theta (A has
+# entries near 9*10^11)
+_FALSE_ALIGNMENT = {
+    "theta": [1, {"alg": _CUBE_ROOT}, {"alg": dict(_CUBE_ROOT, coeffs=[[0, 1], [0, 1], [1, 1]])}],
+    "generators": [{"name": "m", "matrix": [[1, -2, 1], [0, 1, 0], [0, -1, 1]]}],
+}
+
+
+def test_represent_refuses_a_false_bounded_alignment(capsys):
+    argv = ["represent", "--depth", "24", "--theta", json.dumps(_FALSE_ALIGNMENT)]
+    for fmt in ("json", "text"):
+        assert cli.main(argv + ["--format", fmt]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "no_common_tail"
+        assert payload["message"].startswith("generator 'm': the depth-bounded")
+
+
 def test_genus_command():
     assert json.loads(run_cli("genus", "2").stdout) == {"genus": 2, "rank": 6}
     assert run_cli("genus", "3", "--format", "text").stdout.strip() == "12"
@@ -678,6 +699,22 @@ def test_interval_state_built_by_the_loop_is_not_checked_again(capsys):
     assert cli.main(["expand", "--theta", _UNCERTAIN_SIGN, "--depth", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["blocks"] == [[1, 2]] and payload["tail"]["kind"] == "truncated"
+
+
+def test_an_error_message_past_the_digit_limit_is_printed(capsys):
+    # the interval endpoints double their digits each step, and the
+    # message of the floor that becomes indeterminate shows the state
+    theta = (
+        '[1, {"ivl": {"lo": [31415926999999999999999999999, '
+        '10000000000000000000000000000], "hi": [31415927000000000000000000001, '
+        '10000000000000000000000000000]}}, 2.7182818]'
+    )
+    code = cli.main(["expand", "--theta", theta, "--depth", "40"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "indeterminate"
+    assert " bits>" in payload["message"]
 
 
 # ------------------------------------------------- JSON numbers read exactly

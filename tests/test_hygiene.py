@@ -7,7 +7,8 @@ inexact ``math`` function, and ``float(...)`` only where the recurrence
 search rounds an enclosure outward and as the infinite sentinel.  Field
 decisions read integer enclosure bounds, never the Fraction wrapper
 ``evaluate_interval``, only ``scalars`` works on raw field numerators,
-and every image run of ``build_representation`` joins the base run."""
+every image run of ``build_representation`` joins the base run, and a
+certified decision (a Sturm chain, a state check) has one place."""
 
 import ast
 from pathlib import Path
@@ -155,14 +156,16 @@ def test_the_exactness_scan_sees_floats():
     assert {what for _, _, what in _float_uses(MODULES["cf"])} == {"float() call"}
 
 
+def _is_call(node, name):
+    """Is ``node`` a call of ``name``, bare or as an attribute?"""
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
 def _call_nodes(tree, name):
-    """The calls of ``name`` in ``tree``, bare or as an attribute."""
-    return [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    ]
+    """The calls of ``name`` in ``tree``."""
+    return [node for node in ast.walk(tree) if _is_call(node, name)]
 
 
 def _calls_to(tree, name):
@@ -192,6 +195,41 @@ def test_the_call_scan_sees_calls():
     assert _calls_to(MODULES["scalars"], "_interval_bounds") != []
     for name in ("_elem_inverse", "_reduced", "_split"):
         assert _calls_to(MODULES["scalars"], name) != []
+
+
+def _callers(name, modules=MODULES):
+    """The definitions in ``modules`` that call ``name``, bare or as an
+    attribute, as "module.function" or "module.Class.method" (calls
+    outside every definition count under the module's name)."""
+    found = set()
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            inner = path
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = path + "." + child.name
+            elif _is_call(child, name):
+                found.add(path)
+            visit(child, inner)
+
+    for module, tree in modules.items():
+        visit(tree, module)
+    return found
+
+
+def test_each_certified_decision_has_one_place():
+    # a field builds its Sturm chain once, to check its isolating
+    # interval; a zero test or same_root reads a factor's signs at the
+    # enclosure's ends, and only compare certifies equality across fields
+    assert _callers("sturm_chain") == {"scalars.NumberField.__init__", "scalars.compare"}
+    # a run's input state is checked where it enters, and no state the
+    # loop built is checked again
+    assert _callers("_check_state") == {"cf.jpa_step", "cf._period_verdict"}
+
+
+def test_the_caller_scan_sees_nested_calls():
+    tree = ast.parse("class C:\n    def m(self):\n        f(g())\n\ng()\n")
+    assert _callers("g", {"probe": tree}) == {"probe.C.m", "probe"}
 
 
 def test_image_runs_join_the_base_run():

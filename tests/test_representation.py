@@ -618,15 +618,30 @@ def _cube_root_job():
     })
 
 
+def test_a_false_bounded_alignment_is_refused():
+    # the streams align within the budget, but the exact check refutes it
+    theta, actions, _ = _cube_root_job()
+    with pytest.raises(NoCommonTail, match="generator 'g': the depth-bounded"):
+        build_representation(theta, actions, depth_budget=4)
+
+
 def test_failed_reconstruction_voids_faithfulness():
-    theta, actions, relations = _cube_root_job()
-    rep = build_representation(theta, actions, depth_budget=4)
-    report = verify(rep, relations, budget=8)
+    # an aligned representation edited to declare that "a" acts as "b":
+    # its supplied matrix and image are b's, its computed matrix is not
+    rep = _quartic_representation(8)
+    edited = dataclasses.replace(
+        rep,
+        supplied=dict(rep.supplied, a=rep.supplied["b"]),
+        images=dict(rep.images, a=rep.images["b"]),
+    )
+    report = verify(edited, budget=8)
     assert [e.message for e in report.failures()] == [RECONSTRUCTION_FAILED]
-    # both checks of the old audit failed; the one check stands for both
-    assert reference_reconstruction_checks(rep) == {"g": (False, False)}
+    # both checks of the old audit fail; the one check stands for both
+    assert reference_reconstruction_checks(edited) == {
+        "a": (False, False), "b": (True, True)
+    }
     # the flags this rule replaced left it "conditional_depth_bounded"
-    assert rep.certification == "depth_bounded"
+    assert edited.certification == "depth_bounded"
     assert report.faithfulness == "not_guaranteed"
 
 
@@ -1140,10 +1155,11 @@ def _transvection_word(rng, n):
     return m
 
 
-def _b5_representations():
+def _b5_builds():
     """Random words of one to three transvections I +- E_ij acting on
-    theta = (1, g, ..., g^(n-1)), g^d = 2, built at budget 24; images
-    outside the cone and streams without a common tail are skipped."""
+    theta = (1, g, ..., g^(n-1)), g^d = 2, built at budget 24: each
+    build's representation, or the error it raised; images outside the
+    cone are skipped."""
     for rank, degree in ((3, 3), (3, 6), (4, 4)):
         g = algebraic([-2] + [0] * (degree - 1) + [1], 1, 2)
         theta = ScalarVector([g ** i if i else rational(1) for i in range(rank)])
@@ -1152,8 +1168,10 @@ def _b5_representations():
             action = GeneratorAction("g", matrix=_transvection_word(rng, rank))
             try:
                 yield build_representation(theta, [action], 24)
-            except (NonPositiveImage, NoCommonTail):
+            except NonPositiveImage:
                 continue
+            except NoCommonTail as exc:
+                yield exc
 
 
 def _b8_representation():
@@ -1178,22 +1196,48 @@ def test_one_reconstruction_check_on_catalog_jobs():
 
 def test_one_reconstruction_check_on_transvection_words():
     seen = {}
-    for rep in _b5_representations():
+    refused = 0
+    for rep in _b5_builds():
+        if isinstance(rep, NoCommonTail):
+            refused += "the depth-bounded alignment is false" in str(rep)
+            continue
         for outcome in _assert_one_check_agrees(rep).values():
             seen[outcome] = seen.get(outcome, 0) + 1
-    # aligned, falsely aligned (B6 is one), and A != M with the image
-    # reconstructed: the check runs in field arithmetic for the last two
-    assert set(seen) == {(True, True), (False, False), (True, False)}
+    # aligned, and A != M with the image reconstructed (a stabilizer): the
+    # check runs in field arithmetic for the second; a false alignment (B6
+    # is one) is refused by the build
+    assert set(seen) == {(True, True), (True, False)}
+    assert refused > 0
 
 
 def test_one_reconstruction_check_on_the_cube_root_and_stabilizer_jobs():
     theta, actions, _ = _cube_root_job()
-    assert _assert_one_check_agrees(build_representation(theta, actions, 4)) == {
-        "g": (False, False)
-    }
+    with pytest.raises(NoCommonTail):
+        build_representation(theta, actions, 4)
     rep = _b8_representation()
     assert _assert_one_check_agrees(rep) == {"m": (True, False)}
     assert reference_reconstruction_checks(rep) == {"m": (True, True)}
+
+
+@pytest.mark.parametrize("budget", [0, 8, 32])
+def test_a_stabilizer_is_flagged_at_every_budget(budget):
+    # A = B(1, 2) reconstructs the image of M = B(1, 2) * B(1, 1), so
+    # U = M^-1 * A = B(1, 1)^-1 fixes theta projectively
+    rep = _b8_representation()
+    report = verify(rep, budget=budget)
+    u = inverse_unimodular(step_matrix((1, 1)))
+    assert report.failures("stabilizer") == [ReportEntry(
+        "stabilizer",
+        False,
+        "m",
+        "U = M^-1*A = %s fixes theta projectively: the free-action hypothesis "
+        "fails" % u,
+    )]
+    assert projectively_equal(scalar_mat_vec(u, rep.theta.entries), rep.theta.entries)
+    assert report.faithfulness == "not_guaranteed"
+    # only the stabilizer and, once the search sees the period, aperiodicity
+    kinds = [e.kind for e in report.failures()]
+    assert kinds == ["stabilizer"] + ["aperiodicity"] * (budget > 0)
 
 
 def test_reconstruction_of_an_equal_matrix_takes_no_field_arithmetic(monkeypatch):

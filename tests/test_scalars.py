@@ -3,10 +3,17 @@ from math import gcd
 
 import pytest
 
-from conftest import fraction_gcd, fraction_inverse, rng_for
+from conftest import (
+    fraction_gcd,
+    fraction_inverse,
+    reference_compare,
+    rng_for,
+    sturm_is_zero,
+    sturm_same_root,
+)
 from jperron import polynomials as poly
 from jperron import scalars as scalars_module
-from jperron.errors import IndeterminateFloor, MalformedInput
+from jperron.errors import BudgetExceeded, IndeterminateFloor, MalformedInput
 from jperron.scalars import (
     AlgebraicScalar,
     IntervalScalar,
@@ -15,6 +22,7 @@ from jperron.scalars import (
     RationalScalar,
     ScalarVector,
     _elem_inverse,
+    _elem_is_zero,
     _split,
     algebraic,
     compare,
@@ -538,6 +546,189 @@ def test_same_root_with_a_pinned_rational_root():
     other = NumberField([6, -2, -3, 1], Fraction(11, 4), Fraction(13, 4))
     other.refine_once()
     assert pinned.same_root(other) and other.same_root(pinned)
+
+
+# ---------------------------------------------------------------- one enclosure race
+# ``compare`` against its two-loop body on fresh operands: one field, two
+# fields with different roots, and intervals.  Rational roots are pinned by
+# bisection from (5/2, 7/2) and never pinned from the other enclosures.
+
+_SQRT2_FIELDS = [
+    ((-2, 0, 1), 1, 2, (0, 1)),
+    ((-2, 0, 0, 0, 1), 1, 2, (0, 0, 1)),  # sqrt 2 is the square of 2^(1/4)
+    ((6, -2, -3, 1), 1, 2, (0, 1)),  # (x^2 - 2)(x - 3)
+]
+_THREE_FIELDS = [
+    ((6, -2, -3, 1), Fraction(5, 2), Fraction(7, 2), (0, 1)),
+    ((6, -2, -3, 1), 2, Fraction(7, 2), (0, 1)),
+    ((15, -5, -3, 1), Fraction(5, 2), Fraction(7, 2), (0, 1)),  # (x^2 - 5)(x - 3)
+    ((15, -5, -3, 1), Fraction(11, 4), Fraction(7, 2), (0, 1)),
+    ((6, -2, 0, -3, 1), Fraction(5, 2), Fraction(7, 2), (0, 1)),  # (x^3 - 2)(x - 3)
+]
+_FIELD_SPECS = _SQRT2_FIELDS + _THREE_FIELDS
+# a + b*u for u = sqrt 2 or 3; 5 = -1 + 2*3 = 2 + 1*3
+_COORDS = [(0, 1), (1, 1), (-1, 2), (2, 1)]
+_RATIONALS = [3, 4, 5, Fraction(7, 5)]
+# no end is a value of an unpinned field: the race would refine it 4,096
+# times before it read INDETERMINATE
+_INTERVALS = [
+    (Fraction(7, 5), Fraction(7, 5)), (1, 2), (Fraction(141, 100), Fraction(142, 100)),
+    (Fraction(5, 2), Fraction(7, 2)), (Fraction(12, 5), Fraction(5, 2)),
+    (Fraction(7, 2), Fraction(9, 2)),
+]
+
+
+def _draw_operand(rng):
+    kind = rng.random()
+    if kind < 0.7:
+        return ("alg", rng.randrange(len(_FIELD_SPECS)), rng.choice(_COORDS), rng.randint(0, 5))
+    if kind < 0.85:
+        return ("rat", rng.choice(_RATIONALS))
+    return ("ivl", rng.choice(_INTERVALS))
+
+
+def _build_operands(ops, share):
+    """Fresh scalars for the drawn operands; with ``share``, two algebraic
+    operands of one spec live in one field object."""
+    out = []
+    fields = {}
+    for op in ops:
+        if op[0] == "rat":
+            out.append(rational(op[1]))
+        elif op[0] == "ivl":
+            out.append(interval(*op[1]))
+        else:
+            _, spec, (a, b), refinements = op
+            modulus, lo, hi, u = _FIELD_SPECS[spec]
+            key = (spec, refinements) if share else len(out)
+            if key not in fields:
+                fields[key] = NumberField(modulus, lo, hi)
+                # a pinned spec is bisected at least once, onto its root
+                for _ in range(max(refinements, lo == Fraction(5, 2))):
+                    fields[key].refine_once()
+            out.append(AlgebraicScalar(fields[key], poly.add((a,), poly.scale(u, b))))
+    return out
+
+
+def test_compare_matches_the_two_loop_reference(monkeypatch):
+    rng = rng_for("one-enclosure-race")
+    refinements = _count(monkeypatch, NumberField, "refine_once")
+    seen = set()
+    for _ in range(250):
+        ops = [_draw_operand(rng), _draw_operand(rng)]
+        share = rng.random() < 0.5
+        x, y = _build_operands(ops, share)
+        refinements.clear()
+        got = compare(x, y)
+        refined = len(refinements)
+        try:
+            want = reference_compare(*_build_operands(ops, share))
+        except BudgetExceeded:
+            want = BudgetExceeded
+        fields = [v.field for v in (x, y) if isinstance(v, AlgebraicScalar)]
+        if any(isinstance(v, IntervalScalar) for v in (x, y)):
+            seen.add("interval")
+        elif len(fields) == 2 and fields[0] is fields[1]:
+            seen.add("one field")
+        elif len(fields) == 2 and fields[0].same_root(fields[1]):
+            seen.add("same root")
+        elif len(fields) == 2:
+            seen.add("cross field")
+        pinned = len(fields) == 2 and all(f._exact_root is not None for f in fields)
+        if want is BudgetExceeded:
+            # the one change: two pinned points that meet are equal at once
+            assert pinned and got is Ordering.EQ and refined == 0
+            seen.add("pinned and equal")
+        else:
+            assert got is want, ops
+    assert seen == {
+        "interval", "one field", "same root", "cross field", "pinned and equal"
+    }
+
+
+def test_equal_pinned_roots_of_two_fields_compare_equal_at_once(monkeypatch):
+    # x = 3 in (x^2 - 2)(x - 3) and in (x^2 - 5)(x - 3), each enclosure
+    # (5/2, 7/2) bisected once: 4,096 rounds and BudgetExceeded before
+    x = algebraic([6, -2, -3, 1], Fraction(5, 2), Fraction(7, 2))
+    y = algebraic([15, -5, -3, 1], Fraction(5, 2), Fraction(7, 2))
+    x.field.refine_once()
+    y.field.refine_once()
+    refinements = _count(monkeypatch, NumberField, "refine_once")
+    assert compare(x, y) is Ordering.EQ and compare(y + 1, x) is Ordering.GT
+    assert refinements == []
+
+
+def _isolating_intervals(p):
+    """Open intervals around every real root of the square-free p, with no
+    root at an end, by bisection on Sturm counts."""
+    chain = poly.sturm_chain(p)
+    bound = 1 + max(abs(Fraction(c, p[-1])) for c in p[:-1])
+    out, todo = [], [(-bound, bound)]
+    while todo:
+        lo, hi = todo.pop()
+        n = poly.count_roots(chain, lo, hi)
+        if n == 1:
+            out.append((lo, hi))
+        elif n > 1:
+            mid = (lo + hi) / 2
+            while poly.evaluate(p, mid) == 0:
+                mid = (mid + hi) / 2
+            todo += [(lo, mid), (mid, hi)]
+    return out
+
+
+# square-free products of distinct irreducible factors
+_REDUCIBLE = [
+    ((-2, 0, 1), (-3, 1)),
+    ((-2, 0, 0, 1), (-3, 1)),
+    ((-5, 0, 1), (-3, 1), (1, 1)),
+    ((-1, -1, 1), (-2, 0, 0, 1), (-1, 1)),
+]
+
+
+def test_zero_test_and_same_root_agree_with_sturm_counts(monkeypatch):
+    rng = rng_for("endpoint-signs")
+    zero_cases, root_cases = [], []
+    for factors in _REDUCIBLE:
+        modulus = (1,)
+        for f in factors:
+            modulus = poly.mul(modulus, f)
+        enclosures = _isolating_intervals(modulus)
+        if (-3, 1) in factors:
+            enclosures.append((Fraction(5, 2), Fraction(7, 2)))  # pins 3
+        fields = []
+        for lo, hi in enclosures:
+            for _ in range(3):
+                field = NumberField(modulus, lo, hi)
+                for _ in range(rng.randint(0, 5)):
+                    field.refine_once()
+                fields.append(field)
+        for field in fields:
+            for _ in range(6):
+                cofactor = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)]
+                c = poly.mul(rng.choice(factors + ((1,),)), cofactor)
+                if rng.random() < 0.2:
+                    c = poly.add(c, (Fraction(1, 10**6),))
+                zero_cases.append((poly.div_mod(c, modulus)[1], field))
+            root_cases += [(field, rng.choice(fields)) for _ in range(4)]
+    want_zero = [sturm_is_zero(c, f) for c, f in zero_cases]
+    want_root = [sturm_same_root(f, g) for f, g in root_cases]
+
+    def refuse(*args):
+        raise AssertionError("a Sturm chain after the field was built")
+
+    monkeypatch.setattr(poly, "sturm_chain", refuse)
+    assert [_elem_is_zero(c, f) for c, f in zero_cases] == want_zero
+    assert [f.same_root(g) for f, g in root_cases] == want_root
+    assert set(want_zero) == set(want_root) == {True, False}
+
+
+def test_reprs_stay_printable_past_the_digit_limit():
+    # an endpoint past Python's int/str digit limit shows its bit length
+    big = Fraction(10**5000 + 1, 3)
+    assert repr(interval(1, big)) == "IntervalScalar(1, <16610 bits>/<2 bits>)"
+    assert repr(rational(-big)) == "RationalScalar(-<16610 bits>/<2 bits>)"
+    assert "<16610 bits>" in repr(ScalarVector([rational(1), rational(big)]))
 
 
 # ---------------------------------------------------------------- normalized
