@@ -53,7 +53,6 @@ from .lattices import (
     PseudoLattice,
     act,
     genus_rank,
-    pl_contains,
     pl_isomorphic,
     ppl_isomorphic,
     project,
@@ -67,7 +66,6 @@ from .representation import (
     build_representation,
     common_tail,
     evaluate_word,
-    prefix_matrix,
     verify,
 )
 from .scalars import (

@@ -21,14 +21,7 @@ from .errors import (
     MalformedInput,
     NonInvertibleLeadingEntry,
 )
-from .scalars import (
-    AlgebraicScalar,
-    NumberField,
-    ScalarVector,
-    _fraction_from_json,
-    _fraction_to_json,
-    int_from_json,
-)
+from .scalars import AlgebraicScalar, NumberField, ScalarVector
 
 
 class CoordinateFrame:
@@ -295,63 +288,9 @@ def ppl_isomorphic(p, q):
     return PplIsomorphism(True, Fraction(gq, gp), intmat.transpose(w))
 
 
-def pl_contains(p, q):
-    """Is the module of q contained in the module of p?"""
-    _require_common_frame(p, q)
-    lp, lq = _integerized(p.vectors, q.vectors)
-    hp, _ = intmat.hnf(lp)
-    stacked, _ = intmat.hnf(lp + lq)
-    return intmat.nonzero_rows(stacked) == intmat.nonzero_rows(hp)
-
-
 def genus_rank(g):
     """Rank of the coordinate vector attached to a genus-g surface."""
     g = int(g)
     if g < 1:
         raise InvalidGenus("genus must be at least 1, got %d" % g)
     return 2 if g == 1 else 6 * g - 6
-
-
-def frame_to_json(frame):
-    out = {"frame": list(frame.symbols)}
-    if frame.field is not None:
-        lo, hi = frame.field.enclosure()
-        out["modulus"] = list(frame.field.modulus)
-        out["root"] = {"lo": _fraction_to_json(lo), "hi": _fraction_to_json(hi)}
-    return out
-
-
-def frame_from_json(obj):
-    symbols = obj.get("frame")
-    if not symbols:
-        raise MalformedInput("missing frame symbols")
-    modulus = obj.get("modulus")
-    root = None
-    if modulus is not None:
-        r = obj.get("root")
-        if not r:
-            raise MalformedInput("field frame JSON needs a root interval")
-        modulus = [int_from_json(c) for c in modulus]
-        root = (_fraction_from_json(r["lo"]), _fraction_from_json(r["hi"]))
-    return CoordinateFrame(symbols, modulus=modulus, root=root)
-
-
-def lattice_to_json(pl):
-    out = frame_to_json(pl.frame)
-    out["vectors"] = [[_fraction_to_json(x) for x in row] for row in pl.vectors]
-    return out
-
-
-def _vectors_from_json(obj):
-    rows = obj.get("vectors")
-    if not isinstance(rows, list):
-        raise MalformedInput("missing lattice vectors")
-    return tuple(tuple(_fraction_from_json(x) for x in row) for row in rows)
-
-
-def lattice_from_json(obj):
-    return PseudoLattice(frame_from_json(obj), _vectors_from_json(obj))
-
-
-def projective_from_json(obj):
-    return ProjectivePseudoLattice(frame_from_json(obj), _vectors_from_json(obj))

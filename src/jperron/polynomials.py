@@ -104,13 +104,13 @@ def _remainders(p, q, cofactors):
     and then divided by the content of the whole row.  The remainder over
     Q is unique, so each row is a nonzero rational multiple of the
     Euclidean row.  Only the first 1 + ``cofactors`` entries of a row are
-    carried: r alone (0), r and u (1), or r, u and v (2); an entry left
-    out does not take part in the content.  Returns (row, dp, dq).
+    carried: r alone (0), or r and u (1); v is never carried, and an entry
+    left out does not take part in the content.  Returns (row, dp).
     """
     a, dp = _over_one_den(trim(p))
-    b, dq = _over_one_den(trim(q))
-    ra = [a, [1], []][:cofactors + 1]
-    rb = [b, [], [1]][:cofactors + 1]
+    b, _ = _over_one_den(trim(q))
+    ra = [a, [1]][:cofactors + 1]
+    rb = [b, []][:cofactors + 1]
     while rb[0]:
         lb = rb[0][-1]
         while len(ra[0]) >= len(rb[0]):
@@ -122,30 +122,13 @@ def _remainders(p, q, cofactors):
         if g != 1:
             ra = [[c // g for c in x] for x in ra]
         ra, rb = rb, ra
-    return ra, dp, dq
+    return ra, dp
 
 
 def gcd(p, q):
     """Monic polynomial gcd over Q."""
-    (a,), _, _ = _remainders(p, q, 0)
+    (a,), _ = _remainders(p, q, 0)
     return tuple(Fraction(c, a[-1]) for c in a)
-
-
-def extended_gcd(p, q):
-    """Return (g, u, v) with u*p + v*q = g and g monic.
-
-    Runs fraction-free (``_remainders``); dividing the last row by the
-    leading coefficient of r gives the same g, u and v as Euclid over Q.
-    """
-    (a, ua, va), dp, dq = _remainders(p, q, 2)
-    if not a:
-        return ZERO, ZERO, ZERO
-    lead = a[-1]
-    return (
-        tuple(Fraction(c, lead) for c in a),
-        tuple(Fraction(c * dp, lead) for c in ua),
-        tuple(Fraction(c * dq, lead) for c in va),
-    )
 
 
 def derivative(p):

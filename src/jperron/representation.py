@@ -250,9 +250,6 @@ def _common_tail_bounded(exps, depth_budget):
     return TailAlignment(cuts, tail, DEPTH_BOUNDED, compared_depth=compared)
 
 
-prefix_matrix = prefix_product
-
-
 @dataclass(frozen=True)
 class ReportEntry:
     kind: str
@@ -326,7 +323,6 @@ class Representation:
     theta_offset: int
     offsets: dict
     certification: str
-    alignment: TailAlignment
     report: VerificationReport
     # the whole base run the period search stepped through, of which
     # base_expansion keeps the first depth_budget blocks; verify extends it
@@ -476,7 +472,6 @@ def build_representation(theta, actions, depth_budget=24):
         theta_offset=theta_offset,
         offsets=offsets,
         certification=alignment.certification,
-        alignment=alignment,
         report=report,
         base_run=base_run,
     )

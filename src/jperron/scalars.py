@@ -4,7 +4,7 @@ Three representations share one interface:
 
 * rational -- ``fractions.Fraction``, exact and decidable everywhere;
 * algebraic -- an element of a declared real number field Q(g), stored as a
-  polynomial in the generator g, where g is pinned down by an integer
+  polynomial in the generator g, where g is fixed by an integer
   polynomial and an isolating interval.  The polynomial is kept as integer
   numerators over one positive denominator, reduced modulo the field
   modulus exactly once per operation (pseudo-reduction when the modulus is
@@ -56,7 +56,7 @@ class NumberField:
     checked, by Sturm count, to isolate exactly one real root.
     """
 
-    __slots__ = ("modulus", "_enclosure", "_positive_at_hi", "_exact_root")
+    __slots__ = ("modulus", "_enclosure", "_positive_at_hi")
 
     def __init__(self, modulus, lo, hi):
         mod = poly.to_int_poly(poly.square_free_part(poly.trim(modulus)))
@@ -76,7 +76,6 @@ class NumberField:
         # the isolated root, since no other root lies in between
         self._enclosure = (lo, hi)
         self._positive_at_hi = poly.evaluate(mod, hi) > 0
-        self._exact_root = None
 
     @property
     def degree(self):
@@ -86,23 +85,22 @@ class NumberField:
         return self._enclosure
 
     def refine_once(self):
-        """One bisection step on the root enclosure."""
-        if self._exact_root is not None:
-            return
+        """One bisection step on the root enclosure, which stays open with
+        ends that are not roots."""
         lo, hi = self._enclosure
         mid = (lo + hi) / 2
         v = poly.evaluate(self.modulus, mid)
         if v == 0:
-            # the isolated root happens to be rational; pin it
-            self._enclosure = (mid, mid)
-            self._exact_root = mid
-        elif (v > 0) == self._positive_at_hi:
+            # mid is the isolated root, so (lo, mid) holds no root
+            mid = (lo + mid) / 2
+            v = poly.evaluate(self.modulus, mid)
+        if (v > 0) == self._positive_at_hi:
             self._enclosure = (lo, mid)
         else:
             self._enclosure = (mid, hi)
 
     def same_root(self, other):
-        """Whether ``other`` pins the same real root of the same modulus."""
+        """Whether ``other`` holds the same real root of the same modulus."""
         if other is self:
             return True
         if not isinstance(other, NumberField) or other.modulus != self.modulus:
@@ -110,12 +108,8 @@ class NumberField:
         (lo, hi), (olo, ohi) = self._enclosure, other._enclosure
         lo = max(lo, olo)
         hi = min(hi, ohi)
-        if lo > hi:
+        if lo >= hi:
             return False
-        if lo == hi:
-            # only a pinned rational root makes an enclosure a single point
-            # (the endpoints of the others are never roots)
-            return poly.evaluate(self.modulus, lo) == 0
         # each enclosure isolates one root and ends at none, so the common
         # part holds their root iff the modulus changes sign across it
         m = self.modulus
@@ -167,8 +161,6 @@ def _elem_is_zero(coeffs, field):
         return True
     if poly.degree(c) == 0:
         return False
-    if field._exact_root is not None:
-        return poly.evaluate(c, field._exact_root) == 0
     vlo, vhi, _ = poly._interval_bounds(c, *field.enclosure())
     if vlo > 0 or vhi < 0:
         return False
@@ -210,7 +202,7 @@ def _inv_mod(c, modulus):
     # the remainder loop carries only the cofactor u of u*dc*c + v*modulus
     # = r, dc the common denominator of c; u has degree below the modulus,
     # so it needs no further reduction
-    (r, u), dc, _ = poly._remainders(c, modulus, 1)
+    (r, u), dc = poly._remainders(c, modulus, 1)
     if len(r) == 1:
         s = dc if r[0] > 0 else -dc
         num = [s * x for x in u]
@@ -400,7 +392,7 @@ class AlgebraicScalar(Scalar):
         while True:
             vlo, vhi, den = self._bounds()
             vlo, vhi = Fraction(vlo, den), Fraction(vhi, den)
-            if eps is None or vhi - vlo <= eps or self.field._exact_root is not None:
+            if eps is None or vhi - vlo <= eps:
                 return vlo, vhi
             self.field.refine_once()
 
@@ -629,25 +621,37 @@ def floor_exact(x):
 def compare(x, y):
     """Exact ordering of two scalars; INDETERMINATE only for fuzzy intervals.
 
-    Values of one field, or of two fields pinning one root, compare by the
-    sign of their difference.  Otherwise the enclosures race: every
-    algebraic side is refined until they separate or meet in one point,
-    or a fuzzy interval strictly holds the other value.  Across fields, a
-    common root of the two annihilators that is, by Sturm count, the only
-    root of each in the joint enclosure (whose ends are no root) is EQ.
+    With an interval operand, each side is read as its ends (a, b) and
+    (c, d), an exact value v as (v, v): LT when c - b is positive, GT when
+    a - d is, EQ when both sides are one point, else INDETERMINATE.  Each
+    end sign is an exact same-field decision, so no enclosure is raced.
+    Values of one field, or of two fields holding one root, compare by the
+    sign of their difference.  Only two fields with different roots race
+    their enclosures, refining both until they separate; a common root of
+    the two annihilators that is, by Sturm count, the only root of each in
+    the joint enclosure (whose ends are no root) is EQ.
     """
     x, y = (RationalScalar(v) if isinstance(v, (int, Fraction)) else v for v in (x, y))
-    fuzzy = isinstance(x, IntervalScalar) or isinstance(y, IntervalScalar)
-    cross = isinstance(x, AlgebraicScalar) and isinstance(y, AlgebraicScalar)
-    cross = cross and not (x.field is y.field or x.field.same_root(y.field))
-    if not (fuzzy or cross):
+    if isinstance(x, IntervalScalar) or isinstance(y, IntervalScalar):
+        (a, b), (c, d) = (
+            (RationalScalar(v.lo), RationalScalar(v.hi))
+            if isinstance(v, IntervalScalar) else (v, v)
+            for v in (x, y)
+        )
+        if (c - b).sign() > 0:
+            return Ordering.LT
+        if (a - d).sign() > 0:
+            return Ordering.GT
+        return Ordering.EQ if x.is_exact() and y.is_exact() else Ordering.INDETERMINATE
+    if not (isinstance(x, AlgebraicScalar) and isinstance(y, AlgebraicScalar)) or (
+        x.field is y.field or x.field.same_root(y.field)
+    ):
         return Ordering((x - y).sign())
+    px, py = x.annihilator(), y.annihilator()
+    common = poly.to_int_poly(poly.gcd(px, py))
     chains = ()
-    if cross:
-        px, py = x.annihilator(), y.annihilator()
-        common = poly.to_int_poly(poly.gcd(px, py))
-        if poly.degree(common) >= 1:
-            chains = [(p, poly.sturm_chain(p)) for p in (px, py, common)]
+    if poly.degree(common) >= 1:
+        chains = [(p, poly.sturm_chain(p)) for p in (px, py, common)]
     for _ in range(_SIGN_BUDGET):
         xlo, xhi = x.enclosure()
         ylo, yhi = y.enclosure()
@@ -655,14 +659,8 @@ def compare(x, y):
             return Ordering.LT
         if yhi < xlo:
             return Ordering.GT
-        if xlo == xhi == ylo == yhi:
+        if xlo == xhi == ylo == yhi:  # constant elements of two fields
             return Ordering.EQ
-        # a value strictly inside a fuzzy interval stays there however
-        # far it is refined
-        if (isinstance(x, IntervalScalar) and xlo < ylo and yhi < xhi) or (
-            isinstance(y, IntervalScalar) and ylo < xlo and xhi < yhi
-        ):
-            break
         lo, hi = min(xlo, ylo), max(xhi, yhi)
         if chains and all(
             poly.evaluate(p, lo) and poly.evaluate(p, hi)
@@ -670,13 +668,8 @@ def compare(x, y):
             for p, c in chains
         ):
             return Ordering.EQ
-        fields = [v.field for v in (x, y) if isinstance(v, AlgebraicScalar)]
-        if all(f._exact_root is not None for f in fields):
-            break
-        for f in fields:
-            f.refine_once()
-    if fuzzy:
-        return Ordering.INDETERMINATE
+        x.field.refine_once()
+        y.field.refine_once()
     raise BudgetExceeded("cross-field comparison did not settle")
 
 
@@ -861,8 +854,6 @@ def scalar_to_json(x):
     if isinstance(x, RationalScalar):
         return {"rat": _fraction_to_json(x.value)}
     if isinstance(x, AlgebraicScalar):
-        if x.field._exact_root is not None:
-            return {"rat": _fraction_to_json(poly.evaluate(x.coeffs, x.field._exact_root))}
         lo, hi = x.field.enclosure()
         body = {
             "poly": list(x.field.modulus),

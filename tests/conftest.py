@@ -102,8 +102,8 @@ def rng_for(name):
 
 
 def fraction_extended_gcd(p, q):
-    """Euclid over Q with Fraction coefficients: the oracle for
-    ``poly.extended_gcd``, which runs fraction-free."""
+    """Euclid over Q with Fraction coefficients: the oracle for the
+    cofactor that ``poly._remainders`` carries fraction-free."""
     a, b = poly.trim(p), poly.trim(q)
     ua, va = (Fraction(1),), poly.ZERO
     ub, vb = poly.ZERO, (Fraction(1),)
@@ -211,11 +211,12 @@ def fraction_rank(rows):
 
 
 # ------------------------------------------------------ certified decisions
-# ``scalars.compare`` runs one enclosure race for interval operands and for
-# two fields with different roots, and a zero test or ``same_root`` reads
-# the signs of a factor of the modulus at the ends of the root enclosure.
-# The functions below are the bodies they replaced: one refinement loop
-# each for intervals and across fields, and Sturm counts on the enclosure.
+# ``scalars.compare`` decides an interval operand by the exact signs of its
+# ends and races enclosures only for two fields with different roots, and a
+# zero test or ``same_root`` reads the signs of a factor of the modulus at
+# the ends of the root enclosure.  The functions below are the bodies they
+# replaced: one refinement loop each for intervals and across fields, and
+# Sturm counts on the enclosure.
 
 
 def reference_compare(x, y):
@@ -238,13 +239,11 @@ def reference_compare(x, y):
                 break
             if isinstance(y, IntervalScalar) and ylo < xlo and xhi < yhi:
                 break
-            progressed = False
-            for side in (x, y):
-                if isinstance(side, AlgebraicScalar) and side.field._exact_root is None:
-                    side.field.refine_once()
-                    progressed = True
-            if not progressed:
+            fields = [side.field for side in (x, y) if isinstance(side, AlgebraicScalar)]
+            if not fields:
                 break
+            for field in fields:
+                field.refine_once()
         return Ordering.INDETERMINATE
     if isinstance(x, AlgebraicScalar) and isinstance(y, AlgebraicScalar):
         if not (x.field is y.field or sturm_same_root(x.field, y.field)):
@@ -291,10 +290,8 @@ def sturm_same_root(field, other):
         return False
     (lo, hi), (olo, ohi) = field.enclosure(), other.enclosure()
     lo, hi = max(lo, olo), min(hi, ohi)
-    if lo > hi:
+    if lo >= hi:
         return False
-    if lo == hi:
-        return poly.evaluate(field.modulus, lo) == 0
     return poly.count_roots(poly.sturm_chain(field.modulus), lo, hi) == 1
 
 
@@ -305,8 +302,6 @@ def sturm_is_zero(c, field):
     if not c:
         return True
     lo, hi = field.enclosure()
-    if lo == hi:
-        return poly.evaluate(c, lo) == 0
     g = poly.gcd(c, field.modulus)
     if poly.degree(g) < 1:
         return False

@@ -921,7 +921,7 @@ def test_jpa_step_matches_divided_step_ranks_2_to_5():
 def test_algebraic_expansion_inverts_once_per_step(monkeypatch):
     g = algebraic([-2, 0, 0, 0, 1], 1, 2)
     theta = [1, g, g * g, g * g * g]
-    counts = {"_elem_inverse": 0, "extended_gcd": 0, "_step": 0}
+    counts = {"_elem_inverse": 0, "_step": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -934,14 +934,10 @@ def test_algebraic_expansion_inverts_once_per_step(monkeypatch):
         "_elem_inverse",
         counted("_elem_inverse", scalars_module._elem_inverse),
     )
-    monkeypatch.setattr(
-        poly, "extended_gcd", counted("extended_gcd", poly.extended_gcd)
-    )
     monkeypatch.setattr(cf_module, "_step", counted("_step", cf_module._step))
     e = jpa_expand(theta, 48)
     assert e.depth == 48 and e.tail.kind == "truncated"
-    # the inverse runs the remainder loop itself, not ``extended_gcd``
-    assert counts == {"_elem_inverse": 48, "extended_gcd": 0, "_step": 48}
+    assert counts == {"_elem_inverse": 48, "_step": 48}
 
 
 def test_exact_loop_states_are_not_checked_again(monkeypatch):

@@ -2,10 +2,12 @@
 
 The modulus (x^2 - 2)(x - 3) is square-free but reducible, so elements can
 vanish at one root and not at another; each root is tried, one isolating
-interval bisecting onto the rational root 3 and one never reaching it.
+interval whose first midpoint is the rational root 3 and one whose
+midpoints never are.
 """
 
 from fractions import Fraction
+from math import floor
 
 import pytest
 
@@ -26,8 +28,8 @@ MODULUS = (6, -2, -3, 1)  # (x^2 - 2)(x - 3)
 ROOTS = {
     "sqrt2": (1, 2),
     "-sqrt2": (-2, -1),
-    "3 (pinned by bisection)": (Fraction(5, 2), Fraction(7, 2)),
-    "3 (never pinned)": (2, Fraction(7, 2)),
+    "3 (the first midpoint)": (Fraction(5, 2), Fraction(7, 2)),
+    "3 (never a midpoint)": (2, Fraction(7, 2)),
 }
 # factors that make an element vanish at some of the roots
 FACTORS = ((1,), (-2, 0, 1), (-3, 1))
@@ -54,8 +56,6 @@ def _gcd_is_zero(c, field):
     if not c:
         return True
     lo, hi = field.enclosure()
-    if lo == hi:  # a rational root pinned by bisection
-        return poly.evaluate(c, lo) == 0
     g = poly.gcd(c, field.modulus)
     if poly.degree(g) < 1:
         return False
@@ -67,11 +67,7 @@ def _gcd_sign(c, field):
     if _gcd_is_zero(c, field):
         return 0
     while True:
-        lo, hi = field.enclosure()
-        if lo == hi:
-            v = poly.evaluate(c, lo)
-            return 1 if v > 0 else -1
-        vlo, vhi = poly.evaluate_interval(c, lo, hi)
+        vlo, vhi = poly.evaluate_interval(c, *field.enclosure())
         if vlo > 0:
             return 1
         if vhi < 0:
@@ -107,3 +103,46 @@ def test_floor_of_integer_valued_elements(c, root, k):
     # just above and just below the integer
     assert floor_exact(x + Fraction(1, 10**4)) == k
     assert floor_exact(x - Fraction(1, 10**4)) == k - 1
+
+
+# enclosures of the root 3: bisection meets 3 at the first midpoint of the
+# first and last, at the second midpoint of the second, and never from the
+# third
+THREE = (
+    (Fraction(5, 2), Fraction(7, 2)),
+    (Fraction(3, 2), Fraction(7, 2)),
+    (2, Fraction(7, 2)),
+    (Fraction(11, 4), Fraction(13, 4)),
+)
+
+
+def _refined(enclosure, times):
+    """A field of the root 3 from ``enclosure``, bisected ``times`` times;
+    after every step the enclosure is open around 3 and ends at no root."""
+    field = NumberField(MODULUS, *enclosure)
+    for _ in range(times):
+        field.refine_once()
+        lo, hi = field.enclosure()
+        assert lo < 3 < hi
+        assert poly.evaluate(MODULUS, lo) != 0 and poly.evaluate(MODULUS, hi) != 0
+    return field
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    elements(),
+    st.sampled_from(THREE),
+    st.integers(0, 40),
+    st.sampled_from(THREE),
+    st.integers(0, 40),
+)
+def test_enclosures_of_a_rational_root_stay_open(c, start, times, other, other_times):
+    field = _refined(start, times)
+    v = poly.evaluate(c, 3)
+    assert _elem_is_zero(c, field) == (v == 0)
+    assert _elem_sign(c, field) == (v > 0) - (v < 0)
+    assert floor_exact(AlgebraicScalar(field, c)) == floor(v)
+    other = _refined(other, other_times)
+    assert field.same_root(other) and other.same_root(field)
+    for root in ("sqrt2", "-sqrt2"):
+        assert not field.same_root(_field(root)) and not _field(root).same_root(field)

@@ -7,8 +7,9 @@ inexact ``math`` function, and ``float(...)`` only where the recurrence
 search rounds an enclosure outward and as the infinite sentinel.  Field
 decisions read integer enclosure bounds, never the Fraction wrapper
 ``evaluate_interval``, only ``scalars`` works on raw field numerators,
-every image run of ``build_representation`` joins the base run, and a
-certified decision (a Sturm chain, a state check) has one place."""
+every image run of ``build_representation`` joins the base run, a
+certified decision (a Sturm chain, a state check) has one place, and
+four refiners alone bisect a root enclosure."""
 
 import ast
 from pathlib import Path
@@ -225,6 +226,21 @@ def test_each_certified_decision_has_one_place():
     # a run's input state is checked where it enters, and no state the
     # loop built is checked again
     assert _callers("_check_state") == {"cf.jpa_step", "cf._period_verdict"}
+
+
+def test_only_the_four_refiners_bisect_a_root():
+    # a sign, an enclosure of given width, a floor and a race across fields
+    # refine a root enclosure; a comparison with an interval reads end
+    # signs, and no enclosure is ever a point that other code must test for
+    assert _callers("refine_once") == {
+        "scalars._elem_sign",
+        "scalars.AlgebraicScalar.enclosure",
+        "scalars.floor_exact",
+        "scalars.compare",
+    }
+    for module, tree in MODULES.items():
+        strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+        assert "_exact_root" not in USED[module] | strings, module
 
 
 def test_the_caller_scan_sees_nested_calls():

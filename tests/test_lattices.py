@@ -27,16 +27,10 @@ from jperron.lattices import (
     ProjectivePseudoLattice,
     PseudoLattice,
     act,
-    frame_from_json,
-    frame_to_json,
     genus_rank,
-    lattice_from_json,
-    lattice_to_json,
-    pl_contains,
     pl_isomorphic,
     ppl_isomorphic,
     project,
-    projective_from_json,
     scale,
 )
 from jperron.scalars import AlgebraicScalar, Ordering, compare
@@ -322,13 +316,6 @@ def test_ppl_isomorphic_equivalence_spot_checks():
                     assert ppl_isomorphic(a, c)
 
 
-def test_pl_contains():
-    p = PseudoLattice(FRAME2, [(1, 0), (0, 1)])
-    q = PseudoLattice(FRAME2, [(2, 0), (0, 3)])
-    assert pl_contains(p, q)
-    assert not pl_contains(q, p)
-
-
 def _in_row_span(rows, v):
     # solve x * rows = v over Q and check integrality (square full rank)
     n = len(rows)
@@ -471,32 +458,6 @@ def test_genus_rank_invalid():
         genus_rank(0)
     with pytest.raises(InvalidGenus):
         genus_rank(-3)
-
-
-# ---------------------------------------------------------------- json
-
-
-def test_lattice_json_round_trip():
-    pl = PseudoLattice(FRAME3, [(1, 0, 0), (Fraction(1, 3), 1, 0), (0, 0, Fraction(2, 5))])
-    back = lattice_from_json(lattice_to_json(pl))
-    assert back.vectors == pl.vectors
-    assert back.frame.symbols == pl.frame.symbols
-
-
-def test_field_frame_json_round_trip():
-    frame = CoordinateFrame(["1", "phi"], modulus=[-1, -1, 1], root=(1, 2))
-    back = frame_from_json(frame_to_json(frame))
-    assert back.field is not None and back.field.same_root(frame.field)
-    pl = PseudoLattice(frame, [(0, 1), (1, 1)])
-    rt = lattice_from_json(lattice_to_json(pl))
-    assert rt.vectors == pl.vectors and rt.positive
-
-
-def test_projective_json():
-    pp = ProjectivePseudoLattice(FRAME2, [(1, 0), (Fraction(2, 3), 1)])
-    obj = lattice_to_json(PseudoLattice(FRAME2, pp.vectors))
-    back = projective_from_json(obj)
-    assert back.vectors == pp.vectors
 
 
 def test_independence_check_matches_fraction_rank():

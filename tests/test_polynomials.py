@@ -17,28 +17,16 @@ def test_div_mod_identity_random():
         assert poly.degree(rem) < poly.degree(q)
 
 
-def test_extended_gcd_bezout_random():
-    rng = rng_for("poly-xgcd")
-    for _ in range(80):
-        p = poly.trim([rng.randint(-6, 6) for _ in range(rng.randint(1, 6))])
-        q = poly.trim([rng.randint(-6, 6) for _ in range(rng.randint(1, 6))])
-        if not p or not q:
-            continue
-        g, u, v = poly.extended_gcd(p, q)
-        combo = poly.add(poly.mul(u, p), poly.mul(v, q))
-        assert poly.trim(combo) == poly.trim(g)
-        if g:
-            assert poly.div_mod(p, g)[1] == ()
-            assert poly.div_mod(q, g)[1] == ()
-
-
 def _random_fraction_poly(rng, degree):
     return poly.trim(
         [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree + 1)]
     )
 
 
-def test_extended_gcd_matches_fraction_euclid():
+def test_remainder_cofactor_matches_fraction_euclid():
+    # the field inverse reads r and u of u*p + v*q = r from the
+    # fraction-free remainder loop: r/lead(r) and u*dp/lead(r) are Euclid's
+    # monic gcd and its cofactor over Q
     rng = rng_for("poly-xgcd-oracle")
     cases = [
         ((), ()),
@@ -64,9 +52,13 @@ def test_extended_gcd_matches_fraction_euclid():
             p = poly.mul(p, q)
         cases.append((p, q))
     for p, q in cases:
-        got = poly.extended_gcd(p, q)
-        assert got == fraction_extended_gcd(p, q), (p, q)
-        assert all(type(c) is Fraction for part in got for c in part)
+        g, u, _ = fraction_extended_gcd(p, q)
+        (r, ur), dp = poly._remainders(p, q, 1)
+        if not r:
+            assert g == u == (), (p, q)
+            continue
+        assert poly.scale(r, Fraction(1, r[-1])) == g, (p, q)
+        assert poly.scale(ur, Fraction(dp, r[-1])) == u, (p, q)
 
 
 def test_gcd_matches_fraction_euclid():
@@ -100,7 +92,6 @@ def test_gcd_matches_fraction_euclid():
         got = poly.gcd(p, q)
         assert got == fraction_gcd(p, q), (p, q)
         assert all(type(c) is Fraction for c in got)
-        assert got == poly.extended_gcd(p, q)[0]
 
 
 def test_gcd_makes_no_polynomial_division(monkeypatch):

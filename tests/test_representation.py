@@ -45,7 +45,6 @@ from jperron.representation import (
     common_tail,
     evaluate_word,
     job_from_json,
-    prefix_matrix,
     representation_to_json,
     verify,
 )
@@ -388,22 +387,22 @@ def test_relation_exponents_are_bounded_by_the_digit_limit():
             job_from_json(dict(job, relations=[[["a", 2], ["a", k]]]))
 
 
-# ---------------------------------------------------------------- prefix_matrix
+# ---------------------------------------------------------------- prefix_product
 
 
 def test_prefix_matrix_zero_is_identity():
     e = periodic_exp([], [(1, 1)], 3)
-    assert prefix_matrix(e, 0) == identity(3)
+    assert prefix_product(e, 0) == identity(3)
 
 
 def test_prefix_matrix_single_block():
     e = periodic_exp([(3, 4)], [(1, 1)], 3)
-    assert prefix_matrix(e, 1) == [[0, 0, 1], [1, 0, 3], [0, 1, 4]]
+    assert prefix_product(e, 1) == [[0, 0, 1], [1, 0, 3], [0, 1, 4]]
 
 
 def test_prefix_matrix_product_contract(tribonacci):
     exp = jpa_expand(tribonacci, 6)
-    p2 = prefix_matrix(exp, 2)
+    p2 = prefix_product(exp, 2)
     assert p2 == mat_mul(step_matrix((1, 1)), step_matrix((1, 1)))
     assert projectively_equal(
         scalar_mat_vec(p2, exp.states[2].entries), tribonacci.entries
@@ -413,7 +412,7 @@ def test_prefix_matrix_product_contract(tribonacci):
 def test_prefix_matrix_depth_exceeded():
     e = Expansion(rank=2, blocks=((1,),), tail=Tail.truncated())
     with pytest.raises(DepthExceeded):
-        prefix_matrix(e, 2)
+        prefix_product(e, 2)
 
 
 # ---------------------------------------------------------------- build
@@ -697,7 +696,7 @@ def test_verify_reports_internal_inconsistency():
     # white-box: a fabricated representation whose matrix fixes a tail
     # vector that shows no period within the searched budget must be
     # reported as internally inconsistent, never silently accepted
-    from jperron.representation import Representation, TailAlignment, VerificationReport
+    from jperron.representation import Representation, VerificationReport
     from jperron.scalars import algebraic
 
     phi = algebraic([-1, -1, 1], 1, 2)
@@ -716,7 +715,6 @@ def test_verify_reports_internal_inconsistency():
         theta_offset=0,
         offsets={"g": 0},
         certification="depth_bounded",
-        alignment=TailAlignment((0, 0), exp, "depth_bounded"),
         report=VerificationReport(entries=()),
     )
     report = verify(rep, budget=0)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -174,10 +174,10 @@ def test_algebraic_enclosure_rejects_non_positive_eps(eps):
     with pytest.raises(MalformedInput, match="eps must be positive"):
         x.enclosure(eps)
     assert x.field.enclosure() == before
-    # a root pinned exactly is rejected the same way
-    pinned = algebraic([-4, 0, 1], 1, 3)
+    # a rational root, which bisection hits at once, is rejected the same way
+    two = algebraic([-4, 0, 1], 1, 3)
     with pytest.raises(MalformedInput):
-        pinned.enclosure(eps)
+        two.enclosure(eps)
 
 
 def test_rational_divided_by_field_element_or_interval():
@@ -536,22 +536,51 @@ def test_compare_inside_fuzzy_interval_stops_early(monkeypatch):
     assert hi.denominator < 2**16  # the shared enclosure stays small
 
 
-def test_same_root_with_a_pinned_rational_root():
-    # (x^2 - 2)(x - 3) bisected from (5/2, 7/2) pins the root 3 at once
-    pinned = NumberField([6, -2, -3, 1], Fraction(5, 2), Fraction(7, 2))
-    pinned.refine_once()
-    assert pinned.enclosure() == (3, 3)
-    assert pinned.same_root(NumberField([6, -2, -3, 1], 2, Fraction(7, 2)))
-    assert not pinned.same_root(NumberField([6, -2, -3, 1], 1, 2))
-    other = NumberField([6, -2, -3, 1], Fraction(11, 4), Fraction(13, 4))
-    other.refine_once()
-    assert pinned.same_root(other) and other.same_root(pinned)
+# -------------------------------------------------- interval operands
+# (x^2 - 2)(x - 3) with enclosure (2, 7/2) holds the root 3, which its
+# bisection never hits, so 1 + x is 4
+
+
+def _four():
+    return AlgebraicScalar(NumberField([6, -2, -3, 1], 2, Fraction(7, 2)), (1, 1))
+
+
+def test_an_interval_end_equal_to_the_value_refines_nothing(monkeypatch):
+    # the enclosure race refined 4,096 times here and left ends of 4,097
+    # bits in the shared field
+    x = _four()
+    refinements = _count(monkeypatch, NumberField, "refine_once")
+    assert compare(interval(4, 5), x) is Ordering.INDETERMINATE
+    assert compare(x, interval(4, 5)) is Ordering.INDETERMINATE
+    assert refinements == [] and x.field.enclosure() == (2, Fraction(7, 2))
+
+
+def test_a_point_interval_equal_to_the_value_is_equal(monkeypatch):
+    refinements = _count(monkeypatch, NumberField, "refine_once")
+    x = _four()
+    assert compare(interval(4, 4), x) is Ordering.EQ
+    assert compare(x, interval(4, 4)) is Ordering.EQ
+    assert refinements == [] and x.field.enclosure() == (2, Fraction(7, 2))
+    # 3 - (1 + x) reads 0 at the enclosure's lower end: one bisection
+    assert compare(interval(3, 4), _four()) is Ordering.INDETERMINATE
+    assert len(refinements) == 1
+    assert compare(interval(4, 4), rational(4)) is Ordering.EQ
+    assert compare(interval(4, 4), interval(4, 4)) is Ordering.EQ
+
+
+def test_an_interval_end_sign_that_does_not_settle_raises():
+    # an end within 2^-5000 of sqrt 2: its sign needs more than 4,096
+    # bisections, where the race read INDETERMINATE
+    end = Fraction(isqrt(2 << 10000) + 1, 1 << 5000)
+    with pytest.raises(BudgetExceeded):
+        compare(interval(1, end), sqrt2())
 
 
 # ---------------------------------------------------------------- one enclosure race
 # ``compare`` against its two-loop body on fresh operands: one field, two
-# fields with different roots, and intervals.  Rational roots are pinned by
-# bisection from (5/2, 7/2) and never pinned from the other enclosures.
+# fields with different roots, and intervals.  Bisection from (5/2, 7/2)
+# hits the rational root 3 at its first midpoint, and from the other
+# enclosures never.
 
 _SQRT2_FIELDS = [
     ((-2, 0, 1), 1, 2, (0, 1)),
@@ -569,13 +598,21 @@ _FIELD_SPECS = _SQRT2_FIELDS + _THREE_FIELDS
 # a + b*u for u = sqrt 2 or 3; 5 = -1 + 2*3 = 2 + 1*3
 _COORDS = [(0, 1), (1, 1), (-1, 2), (2, 1)]
 _RATIONALS = [3, 4, 5, Fraction(7, 5)]
-# no end is a value of an unpinned field: the race would refine it 4,096
+# 4 and 5 are values of the fields of 3: the race refined those 4,096
 # times before it read INDETERMINATE
 _INTERVALS = [
     (Fraction(7, 5), Fraction(7, 5)), (1, 2), (Fraction(141, 100), Fraction(142, 100)),
     (Fraction(5, 2), Fraction(7, 2)), (Fraction(12, 5), Fraction(5, 2)),
-    (Fraction(7, 2), Fraction(9, 2)),
+    (Fraction(7, 2), Fraction(9, 2)), (4, 4), (4, 5),
 ]
+
+
+def _value_of_three(op):
+    """The value of a drawn operand of a field of 3, else None."""
+    if op[0] == "alg" and op[1] >= len(_SQRT2_FIELDS):
+        a, b = op[2]
+        return a + 3 * b
+    return None
 
 
 def _draw_operand(rng):
@@ -603,7 +640,7 @@ def _build_operands(ops, share):
             key = (spec, refinements) if share else len(out)
             if key not in fields:
                 fields[key] = NumberField(modulus, lo, hi)
-                # a pinned spec is bisected at least once, onto its root
+                # a spec from (5/2, 7/2) is bisected at least once, at its root
                 for _ in range(max(refinements, lo == Fraction(5, 2))):
                     fields[key].refine_once()
             out.append(AlgebraicScalar(fields[key], poly.add((a,), poly.scale(u, b))))
@@ -614,17 +651,23 @@ def test_compare_matches_the_two_loop_reference(monkeypatch):
     rng = rng_for("one-enclosure-race")
     refinements = _count(monkeypatch, NumberField, "refine_once")
     seen = set()
+    # one case of each kind first, then random draws
+    cases = [
+        ([("alg", 0, (0, 1), 0), ("alg", 0, (1, 1), 0)], True),
+        ([("ivl", (4, 4)), ("alg", 3, (1, 1), 0)], False),
+        ([("alg", 4, (1, 1), 2), ("ivl", (4, 5))], False),
+    ]
     for _ in range(250):
-        ops = [_draw_operand(rng), _draw_operand(rng)]
-        share = rng.random() < 0.5
+        cases.append(([_draw_operand(rng), _draw_operand(rng)], rng.random() < 0.5))
+    for ops, share in cases:
         x, y = _build_operands(ops, share)
         refinements.clear()
         got = compare(x, y)
         refined = len(refinements)
-        try:
-            want = reference_compare(*_build_operands(ops, share))
-        except BudgetExceeded:
-            want = BudgetExceeded
+        fresh = _build_operands(ops, share)
+        refinements.clear()
+        want = reference_compare(*fresh)
+        raced = len(refinements)
         fields = [v.field for v in (x, y) if isinstance(v, AlgebraicScalar)]
         if any(isinstance(v, IntervalScalar) for v in (x, y)):
             seen.add("interval")
@@ -634,21 +677,29 @@ def test_compare_matches_the_two_loop_reference(monkeypatch):
             seen.add("same root")
         elif len(fields) == 2:
             seen.add("cross field")
-        pinned = len(fields) == 2 and all(f._exact_root is not None for f in fields)
-        if want is BudgetExceeded:
-            # the one change: two pinned points that meet are equal at once
-            assert pinned and got is Ordering.EQ and refined == 0
-            seen.add("pinned and equal")
+        ends = [end for op in ops if op[0] == "ivl" for end in op[1]]
+        if any(_value_of_three(op) in ends for op in ops):
+            # the deliberate changes: an interval end equal to the value
+            # decides at once, where the race ran its whole budget, and a
+            # point interval equal to the value is EQ
+            assert want is Ordering.INDETERMINATE and raced == 4096, ops
+            assert refined <= 2, ops
+            point = x.is_exact() and y.is_exact()
+            assert got is (Ordering.EQ if point else Ordering.INDETERMINATE), ops
+            seen.add("point equals value" if point else "end equals value")
         else:
             assert got is want, ops
     assert seen == {
-        "interval", "one field", "same root", "cross field", "pinned and equal"
+        "interval", "one field", "same root", "cross field",
+        "end equals value", "point equals value",
     }
 
 
 def test_equal_pinned_roots_of_two_fields_compare_equal_at_once(monkeypatch):
     # x = 3 in (x^2 - 2)(x - 3) and in (x^2 - 5)(x - 3), each enclosure
-    # (5/2, 7/2) bisected once: 4,096 rounds and BudgetExceeded before
+    # (5/2, 7/2) bisected once at its root: once pinned to the point 3,
+    # they raised BudgetExceeded after 4,096 rounds; the enclosures now
+    # stay open, and the Sturm certificate holds at once
     x = algebraic([6, -2, -3, 1], Fraction(5, 2), Fraction(7, 2))
     y = algebraic([15, -5, -3, 1], Fraction(5, 2), Fraction(7, 2))
     x.field.refine_once()
