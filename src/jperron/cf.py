@@ -28,7 +28,6 @@ from .errors import (
     NonPositiveState,
 )
 from .scalars import (
-    AlgebraicScalar,
     Ordering,
     RationalScalar,
     Scalar,
@@ -298,13 +297,12 @@ def _positive_state(theta):
     return vec.normalized()
 
 
-def _stepped(exp, boxes=None):
+def _stepped(exp):
     """Mark ``exp`` as stepped from its ``theta`` by ``_expand``, so a period
-    search may replay its states and a run may join it; ``boxes`` are the
-    recurrence boxes of its first states, kept for the runs that join it.
-    ``dataclasses.replace`` builds a new instance, which carries neither."""
+    search may replay its states and a run may join it.  Its states keep
+    the boxes the search read, for the runs that join it.
+    ``dataclasses.replace`` builds a new instance, which is not marked."""
     object.__setattr__(exp, "_stepped", True)
-    object.__setattr__(exp, "_boxes", boxes or ())
     return exp
 
 
@@ -343,22 +341,16 @@ def _expand(state, depth, search=0, join=None):
     blocks = []
     tail = Tail.truncated()
     residual = None
-    box = _box(state) if exact and (search or join) else None
-    boxes = [box] if exact and search else None
     # ``at``: the index in ``join`` of the current state, once they met
     at = None
     if join is not None:
-        jboxes = list(join._boxes)
-        jboxes += [None] * (len(join.states) - len(jboxes))
         replay = min(len(join.blocks), len(join.states) - 1)
-        at = _find_state(join.states, jboxes, state, box)
+        at = _find_state(join.states, state)
     for k in range(max(depth, search)):
         if at is not None and at < replay:
             digits, nxt = join.blocks[at], join.states[at + 1]
             at += 1
-            box = jboxes[at]
         else:
-            box = None
             try:
                 digits, parts, nxt = _step(state)
             except IndeterminateFloor:
@@ -371,16 +363,9 @@ def _expand(state, depth, search=0, join=None):
             tail = Tail.terminated()
             residual = parts.entries
             break
-        searching = exact and k < search
-        looking = join is not None and at is None
-        if box is None and (searching or looking):
-            box = _box(nxt)
-        if looking:
-            at = _find_state(join.states, jboxes, nxt, box)
-        j = None
-        if searching:
-            j = _find_state(states, boxes, nxt, box)
-            boxes.append(box)
+        if join is not None and at is None:
+            at = _find_state(join.states, nxt)
+        j = _find_state(states, nxt) if exact and k < search else None
         state = nxt
         states.append(state)
         if j is not None:
@@ -396,7 +381,7 @@ def _expand(state, depth, search=0, join=None):
         theta=states[0],
         states=tuple(states),
         residual=residual,
-    ), boxes)
+    ))
 
 
 def jpa_expand(theta, max_depth):
@@ -601,32 +586,6 @@ class PeriodVerdict:
         return self.kind == PERIODIC
 
 
-def _box(state):
-    """The state's coordinate enclosures, as outward-rounded floats.
-
-    No field is refined: a box read at an older, wider field enclosure
-    still contains the coordinate.  The coordinates are taken last first,
-    so the leading 1 of a normalized state, which never tells two states
-    apart, is looked at last.
-    """
-    return tuple(_outward(x) for x in reversed(state.entries))
-
-
-def _outward(x):
-    # int true division, like float() of a Fraction, rounds to nearest, so
-    # one ulp outward encloses
-    try:
-        if isinstance(x, AlgebraicScalar):
-            lo, hi, den = x._bounds()
-            lo, hi = lo / den, hi / den
-        else:
-            lo, hi = x.enclosure()
-            lo, hi = float(lo), float(hi)
-        return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
-    except OverflowError:
-        return -math.inf, math.inf
-
-
 def _disjoint(a, b):
     for (alo, ahi), (blo, bhi) in zip(a, b):
         if ahi < blo or bhi < alo:
@@ -634,25 +593,22 @@ def _disjoint(a, b):
     return False
 
 
-def _find_state(states, boxes, candidate, box):
-    """Index of the first state in ``states`` equal to ``candidate``, whose
-    box is ``box``, or None.  ``boxes[j]`` is the box of ``states[j]``, or
-    None when it was not read yet.
+def _find_state(states, candidate):
+    """Index of the first state in ``states`` equal to ``candidate``, or
+    None.
 
     The candidate itself is equal at once.  A state whose box misses the
     candidate's in some coordinate cannot equal it.  A box that meets it
-    is read again, at the field's current enclosure (a box stored early
-    is wide), and exact vector equality runs only if they still meet.
-    The reduced coordinates are never compared as data: over a reducible
-    modulus equal values can be stored differently.
+    is read again, at the field's current enclosure (a box kept from an
+    earlier read may be wide), and exact vector equality runs only if
+    they still meet.  The reduced coordinates are never compared as data:
+    over a reducible modulus equal values can be stored differently.
     """
     for j, st in enumerate(states):
         if st is candidate:
             return j
-        if boxes[j] is not None and _disjoint(boxes[j], box):
-            continue
-        boxes[j] = _box(st)
-        if _disjoint(boxes[j], box):
+        box = candidate.box()
+        if _disjoint(st.box(), box) or _disjoint(st.box(fresh=True), box):
             continue
         if st == candidate:
             return j

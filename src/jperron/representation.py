@@ -23,7 +23,6 @@ from .cf import (
     TERMINATED,
     TRUNCATED,
     Expansion,
-    Tail,
     _certified_run,
     _period_verdict,
     canonical_periodic,
@@ -72,12 +71,17 @@ class GeneratorAction:
 
 @dataclass(frozen=True)
 class TailAlignment:
-    """Result of aligning several streams on a shared tail."""
+    """Result of aligning several streams on a shared tail: each stream's
+    cut and, for finite data, the blocks compared past the cuts."""
 
     offsets: tuple
-    tail: Expansion
     certification: str
     compared_depth: Optional[int] = None
+
+
+# the block after a terminated stream's last: no digit block is empty, so
+# a terminated stream reads as a periodic one with this period
+_END = ()
 
 
 def _stream_block(pre, per, i):
@@ -127,7 +131,8 @@ def common_tail(expansions, depth_budget=16):
     """Align streams on their maximal common tail.
 
     Maximality means the smallest total removed prefix length, with ties
-    broken by the lexicographically smallest offset vector.  Inputs whose
+    broken by the lexicographically smallest offset vector.  A terminated
+    stream reads as a periodic one whose period is ``_END``.  Inputs whose
     tails are all exact (terminated or periodic tags) get an exact
     decision; any truncated input limits the search to ``depth_budget``
     offsets per stream and the result is labeled depth-bounded.  That
@@ -142,50 +147,25 @@ def common_tail(expansions, depth_budget=16):
     exps = list(expansions)
     if not exps:
         raise MalformedInput("need at least one expansion")
-    rank = exps[0].rank
-    if any(e.rank != rank for e in exps):
+    if len({e.rank for e in exps}) > 1:
         raise RankMismatch("expansions have mixed ranks")
     if len(exps) == 1:
         e = exps[0]
         cert = EXACT if e.is_exact_tail() else DEPTH_BOUNDED
-        return TailAlignment((0,), e, cert, compared_depth=e.depth)
+        return TailAlignment((0,), cert, compared_depth=e.depth)
     kinds = {e.tail.kind for e in exps}
     if TRUNCATED in kinds:
         return _common_tail_bounded(exps, depth_budget)
-    if kinds == {TERMINATED}:
-        blocks = [list(e.blocks) for e in exps]
-        s = 0
-        while all(s < len(b) for b in blocks):
-            last = [b[len(b) - 1 - s] for b in blocks]
-            if any(x != last[0] for x in last):
-                break
-            s += 1
-        offsets = tuple(len(b) - s for b in blocks)
-        tail = Expansion(
-            rank=rank,
-            blocks=tuple(blocks[0][offsets[0]:]),
-            tail=Tail.terminated(),
-        )
-        return TailAlignment(offsets, tail, EXACT, compared_depth=s)
-    if kinds == {PERIODIC}:
-        streams = [
-            canonical_periodic(e.blocks[:e.tail.preperiod], e.tail.period)
-            for e in exps
-        ]
-        cuts = _periodic_alignment(streams)
-        pre0, per0 = streams[0]
-        c0 = cuts[0]
-        raw_pre = pre0[c0:]
-        shift = max(0, c0 - len(pre0)) % len(per0)
-        raw_per = per0[shift:] + per0[:shift]
-        tail_pre, tail_per = canonical_periodic(raw_pre, raw_per)
-        tail = Expansion(
-            rank=rank,
-            blocks=tuple(tail_pre) + tuple(tail_per),
-            tail=Tail.periodic(len(tail_pre), tail_per),
-        )
-        return TailAlignment(tuple(cuts), tail, EXACT)
-    raise NoCommonTail("terminated and periodic streams share no tail")
+    if len(kinds) > 1:
+        raise NoCommonTail("terminated and periodic streams share no tail")
+    cuts = _periodic_alignment([
+        canonical_periodic(e.blocks[:e.tail.preperiod], e.tail.period)
+        if e.tail.kind == PERIODIC else canonical_periodic(e.blocks, [_END])
+        for e in exps
+    ])
+    # finite streams compare their longest common suffix
+    compared = exps[0].depth - cuts[0] if kinds == {TERMINATED} else None
+    return TailAlignment(cuts, EXACT, compared_depth=compared)
 
 
 def _agree(a, ca, b, cb):
@@ -200,11 +180,17 @@ def _common_tail_bounded(exps, depth_budget):
     # + period length on, at a larger total.  Realized this far, each
     # periodic stream outlasts every finite suffix, and two periodic
     # suffixes that agree on their overlap agree for ever (Fine and Wilf).
+    # A terminated stream is realized with its ``_END``, which no data
+    # past its last block agrees with.
     cycles = [
         e.tail.preperiod + len(e.tail.period) if e.tail.kind == PERIODIC else 0
         for e in exps
     ]
-    realized = [e.realize(max(e.depth for e in exps) + 3 * max(cycles)) for e in exps]
+    realized = [
+        e.realize(max(e.depth for e in exps) + 3 * max(cycles))
+        + [_END] * (e.tail.kind == TERMINATED)
+        for e in exps
+    ]
     caps = [min(depth_budget + 1, c or len(s)) for c, s in zip(cycles, realized)]
 
     # Suffixes that agree pairwise are all prefixes of the longest one.  So
@@ -242,12 +228,7 @@ def _common_tail_bounded(exps, depth_budget):
                 )
         raise NoCommonTail("no joint alignment within budget %d" % depth_budget)
     compared = min(len(s) - c for s, c in zip(realized, cuts))
-    tail = Expansion(
-        rank=exps[0].rank,
-        blocks=tuple(realized[0][cuts[0]:]),
-        tail=Tail.truncated(),
-    )
-    return TailAlignment(cuts, tail, DEPTH_BOUNDED, compared_depth=compared)
+    return TailAlignment(cuts, DEPTH_BOUNDED, compared_depth=compared)
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,13 @@ denominator; a polynomial gcd with the modulus runs only when the
 enclosure contains the candidate (0, or the one integer a floor could
 be).
 
-Values are immutable.  The only internal mutation is the monotone
+Values are immutable.  The only internal mutations are the monotone
 shrinking of a field's root enclosure, which never changes the value any
-scalar represents; the enclosure is replaced as one tuple, so every read
-sees a valid enclosure.
+scalar represents (the enclosure is replaced as one tuple, so every read
+sees a valid enclosure), and a vector's cached box of float enclosures.
 """
 
+import math
 import sys
 from enum import Enum
 from fractions import Fraction
@@ -618,6 +619,14 @@ def floor_exact(x):
     raise MalformedInput("floor_exact expects a Scalar, got %r" % (x,))
 
 
+def _demoted(v):
+    """``v`` as a Scalar: a number, or a constant field element, becomes
+    a RationalScalar."""
+    if isinstance(v, AlgebraicScalar) and len(v.num) < 2:
+        v = Fraction(v.num[0], v.den) if v.num else 0
+    return RationalScalar(v) if isinstance(v, (int, Fraction)) else v
+
+
 def compare(x, y):
     """Exact ordering of two scalars; INDETERMINATE only for fuzzy intervals.
 
@@ -625,13 +634,14 @@ def compare(x, y):
     (c, d), an exact value v as (v, v): LT when c - b is positive, GT when
     a - d is, EQ when both sides are one point, else INDETERMINATE.  Each
     end sign is an exact same-field decision, so no enclosure is raced.
-    Values of one field, or of two fields holding one root, compare by the
-    sign of their difference.  Only two fields with different roots race
-    their enclosures, refining both until they separate; a common root of
+    A constant field element compares as the rational it is.  Values of
+    one field, or of two fields holding one root, compare by the sign of
+    their difference.  Only two fields with different roots race their
+    enclosures, refining both until they separate; a common root of
     the two annihilators that is, by Sturm count, the only root of each in
     the joint enclosure (whose ends are no root) is EQ.
     """
-    x, y = (RationalScalar(v) if isinstance(v, (int, Fraction)) else v for v in (x, y))
+    x, y = map(_demoted, (x, y))
     if isinstance(x, IntervalScalar) or isinstance(y, IntervalScalar):
         (a, b), (c, d) = (
             (RationalScalar(v.lo), RationalScalar(v.hi))
@@ -659,8 +669,6 @@ def compare(x, y):
             return Ordering.LT
         if yhi < xlo:
             return Ordering.GT
-        if xlo == xhi == ylo == yhi:  # constant elements of two fields
-            return Ordering.EQ
         lo, hi = min(xlo, ylo), max(xhi, yhi)
         if chains and all(
             poly.evaluate(p, lo) and poly.evaluate(p, hi)
@@ -728,7 +736,7 @@ def _int_mat_vec(m, entries):
 class ScalarVector:
     """An ordered tuple of scalars, used for (1, theta_1, ..., theta_{n-1})."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_box")
 
     def __init__(self, entries):
         entries = tuple(
@@ -743,6 +751,7 @@ class ScalarVector:
         if IntervalScalar in kinds and AlgebraicScalar in kinds:
             raise MalformedInput("a vector cannot mix interval and algebraic entries")
         self.entries = entries
+        self._box = None
 
     @classmethod
     def coerce(cls, value):
@@ -773,6 +782,19 @@ class ScalarVector:
         inv = rational(1) / head
         return ScalarVector((rational(1),) + tuple(e * inv for e in self.entries[1:]))
 
+    def box(self, fresh=False):
+        """The coordinate enclosures, as outward-rounded floats, read once
+        and kept; ``fresh`` reads them again.
+
+        No field is refined: a box read at an older, wider field enclosure
+        still contains the coordinate, and a fresh one is tighter.  The
+        coordinates are taken last first, so the leading 1 of a normalized
+        state, which never tells two states apart, is looked at last.
+        """
+        if fresh or self._box is None:
+            self._box = tuple(_outward(x) for x in reversed(self.entries))
+        return self._box
+
     def __iter__(self):
         return iter(self.entries)
 
@@ -793,6 +815,21 @@ class ScalarVector:
 
     def __repr__(self):
         return "ScalarVector(%r)" % (list(self.entries),)
+
+
+def _outward(x):
+    # int true division, like float() of a Fraction, rounds to nearest, so
+    # one ulp outward encloses
+    try:
+        if isinstance(x, AlgebraicScalar):
+            lo, hi, den = x._bounds()
+            lo, hi = lo / den, hi / den
+        else:
+            lo, hi = x.enclosure()
+            lo, hi = float(lo), float(hi)
+        return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    except OverflowError:
+        return -math.inf, math.inf
 
 
 def _text(f):

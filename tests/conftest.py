@@ -486,7 +486,7 @@ def reference_tail_subject(rep):
         tail=Tail.truncated(),
         theta=rep.theta_max,
         states=states,
-    ), run._boxes[t:])
+    ))
 
 
 def flag_verify(rep, relations=(), budget=32):
@@ -864,10 +864,16 @@ def reference_tail_equivalent(e1, e2, depth_budget=16):
     )
 
 
+def _reference_realized(exp, need):
+    """The first ``need`` blocks, and after a terminated stream's last
+    block the end marker (), which no digit block equals."""
+    return exp.realize(need) + [()] * (exp.tail.kind == TERMINATED)
+
+
 def _reference_truncated(e1, e2, depth_budget):
     need = max(e1.depth, e2.depth) + depth_budget
-    b1 = e1.realize(need)
-    b2 = e2.realize(need)
+    b1 = _reference_realized(e1, need)
+    b2 = _reference_realized(e2, need)
     best = None
     for total in range(0, 2 * depth_budget + 1):
         for p in range(0, min(total, depth_budget) + 1):
@@ -914,7 +920,7 @@ def reference_common_tail_bounded(exps, depth_budget):
     enumeration of every cut vector in order of total, then lexicographic
     order, over a memo of pairwise agreements (cost (b+1)^m)."""
     need = max(e.depth for e in exps) + depth_budget + 8
-    realized = [e.realize(need) for e in exps]
+    realized = [_reference_realized(e, need) for e in exps]
     lengths = [len(b) for b in realized]
     m = len(exps)
     cache = {}
@@ -949,14 +955,7 @@ def reference_common_tail_bounded(exps, depth_budget):
                 for j in range(i + 1, m)
             ):
                 compared = min(lengths[i] - cuts[i] for i in range(m))
-                tail = Expansion(
-                    rank=exps[0].rank,
-                    blocks=tuple(realized[0][cuts[0]:]),
-                    tail=Tail.truncated(),
-                )
-                return TailAlignment(
-                    tuple(cuts), tail, DEPTH_BOUNDED, compared_depth=compared
-                )
+                return TailAlignment(tuple(cuts), DEPTH_BOUNDED, compared_depth=compared)
     raise NoCommonTail("no joint alignment within budget %d" % depth_budget)
 
 

@@ -159,6 +159,22 @@ def test_tail_equivalent_truncated_is_inconclusive():
     assert d.compared_depth == 3
 
 
+def test_terminated_stream_ends_where_its_blocks_do():
+    # block (3,) follows where the terminated stream ended, so the two
+    # share no tail, however far the truncated data agrees before it
+    done = Expansion(rank=2, blocks=((1,), (2,)), tail=Tail.terminated())
+    more = Expansion(rank=2, blocks=((1,), (2,), (3,)), tail=Tail.truncated())
+    for d in (tail_equivalent(done, more, 4), tail_equivalent(more, done, 4)):
+        assert d.verdict == d.INCONCLUSIVE and not d.certified
+        assert d.offsets is None and d.compared_depth == 0
+    # truncated data that stops with the terminated stream still aligns
+    longer = Expansion(rank=2, blocks=((5,), (1,), (2,)), tail=Tail.terminated())
+    short = Expansion(rank=2, blocks=((1,), (2,)), tail=Tail.truncated())
+    d = tail_equivalent(longer, short, 4)
+    assert d.verdict == d.INCONCLUSIVE and d.offsets == (1, 0)
+    assert d.compared_depth == 2
+
+
 def test_tail_equivalence_relation_laws():
     rng = rng_for("tail-laws")
     for _ in range(120):

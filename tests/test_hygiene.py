@@ -3,8 +3,9 @@ module: no module imports a name it never uses, and no module-level
 private function or class is left without a reference.  A second copy
 of a decision tends to leave exactly these behind when the first copy
 takes over.  The package is also kept exact: no float literal, no
-inexact ``math`` function, and ``float(...)`` only where the recurrence
-search rounds an enclosure outward and as the infinite sentinel.  Field
+inexact ``math`` function, and ``float(...)`` only where a vector's
+recurrence box rounds an enclosure outward and as the infinite sentinel.
+The boxes live on the vectors, never in lists beside a run.  Field
 decisions read integer enclosure bounds, never the Fraction wrapper
 ``evaluate_interval``, only ``scalars`` works on raw field numerators,
 every image run of ``build_representation`` joins the base run, a
@@ -138,7 +139,7 @@ def test_no_inexact_arithmetic(module):
     found = [
         use
         for use in _float_uses(MODULES[module])
-        if (module, use[0], use[2]) != ("cf", "_outward", "float() call")
+        if (module, use[0], use[2]) != ("scalars", "_outward", "float() call")
     ]
     assert found == []
 
@@ -154,7 +155,7 @@ def test_the_exactness_scan_sees_floats():
         "inexact math import",
         "math.sqrt call",
     ]
-    assert {what for _, _, what in _float_uses(MODULES["cf"])} == {"float() call"}
+    assert {what for _, _, what in _float_uses(MODULES["scalars"])} == {"float() call"}
 
 
 def _is_call(node, name):
@@ -241,6 +242,17 @@ def test_only_the_four_refiners_bisect_a_root():
     for module, tree in MODULES.items():
         strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
         assert "_exact_root" not in USED[module] | strings, module
+
+
+def test_recurrence_boxes_live_on_the_vector():
+    # a coordinate box is read by the vector that holds it and kept there,
+    # so every run that meets the vector shares it; no run keeps boxes of
+    # its own beside its states
+    assert _callers("_outward") == {"scalars.ScalarVector.box"}
+    assert _callers("_find_state") == {"cf._expand"}
+    for module, tree in MODULES.items():
+        strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+        assert "_boxes" not in USED[module] | strings, module
 
 
 def test_the_caller_scan_sees_nested_calls():

@@ -709,6 +709,24 @@ def test_equal_pinned_roots_of_two_fields_compare_equal_at_once(monkeypatch):
     assert refinements == []
 
 
+def test_constant_elements_of_two_fields_compare_as_rationals(monkeypatch):
+    # a constant element is the rational it stores, whatever the root of
+    # its field: 4 in Q(sqrt 2) and 4 in Q(cbrt 2) compare with no Sturm
+    # chain and no refinement, where the race across fields built three
+    # chains and decided EQ only when both enclosures were the point 4
+    f = NumberField([-2, 0, 1], 1, 2)
+    g = NumberField([-2, 0, 0, 1], 1, 2)
+    four, other_four, five = (
+        AlgebraicScalar(f, (4,)), AlgebraicScalar(g, (4,)), AlgebraicScalar(g, (5,))
+    )
+    assert {type(x) for x in (four, other_four, five)} == {AlgebraicScalar}
+    chains = _count(monkeypatch, poly, "sturm_chain")
+    refinements = _count(monkeypatch, NumberField, "refine_once")
+    assert compare(four, other_four) is Ordering.EQ
+    assert compare(four, five) is Ordering.LT and compare(five, four) is Ordering.GT
+    assert chains == [] and refinements == []
+
+
 def _isolating_intervals(p):
     """Open intervals around every real root of the square-free p, with no
     root at an end, by bisection on Sturm counts."""
